@@ -31,9 +31,23 @@ let quick_arg =
   in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
+(* Every --threads goes through this converter, so a count outside
+   the runner's domain limit is a usage error (exit 2), not an
+   uncaught exception from inside a run. *)
+let thread_count =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 && n <= Harness.Runner.max_threads -> Ok n
+        | _ ->
+          Error
+            (Printf.sprintf "invalid thread count %S: expected an integer in [1, %d]" s
+               Harness.Runner.max_threads)),
+      Format.pp_print_int )
+
 let threads_arg ~default =
   let doc = "Comma-separated list of thread counts." in
-  Arg.(value & opt (list int) default & info [ "threads" ] ~docv:"N,N,..." ~doc)
+  Arg.(value & opt (list thread_count) default & info [ "threads" ] ~docv:"N,N,..." ~doc)
 
 let total_ops_arg =
   let doc = "Total operations per iteration (default: paper's 10^7; quick mode: 4x10^5)." in
@@ -92,7 +106,7 @@ let table2_cmd =
 
 let one_thread_arg =
   let doc = "Thread count for the ablation." in
-  Arg.(value & opt int 8 & info [ "threads" ] ~docv:"N" ~doc)
+  Arg.(value & opt thread_count 8 & info [ "threads" ] ~docv:"N" ~doc)
 
 let ablation cmd_name doc f =
   let run csv quick threads total_ops = save csv (f ~quick ~threads ?total_ops ()) in
@@ -190,16 +204,22 @@ let stats_cmd =
         (fun path ->
           Harness.Json.save (Harness.Telemetry.table_to_json rows) ~path;
           Printf.printf "Wrote %s\n" path)
-        json
+        json;
+      let verdict = Harness.Telemetry.slow_path_verdict rows in
+      Format.printf "@.%a@." Harness.Telemetry.pp_verdict verdict;
+      match verdict with
+      | Harness.Telemetry.Exceeded _ -> exit 1
+      | Within _ | Unmeasured -> ()
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Fast/slow-path telemetry table: slow-path rate, CAS failures, helping events and \
-          latency tails of the instrumented wait-free queue across patience values")
+          latency tails of the instrumented wait-free queue across patience values.  Exits 1 \
+          when the slow-path rate at patience 10 exceeds 1e-3")
     Term.(
       const run
-      $ Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N" ~doc:"Worker domains.")
+      $ Arg.(value & opt thread_count 4 & info [ "threads" ] ~docv:"N" ~doc:"Worker domains.")
       $ total_ops_arg $ bench_arg $ patience_list_arg $ json_arg)
 
 (* Live fault-injection storm on the Enabled-injector build: K victim
@@ -209,10 +229,6 @@ let stats_cmd =
 let inject_cmd =
   let module Q = Wfq.Wfqueue_inject in
   let run threads victims seed ops park kill =
-    if threads < 1 then begin
-      prerr_endline "repro inject: need at least one domain";
-      exit 2
-    end;
     let victims =
       match victims with
       | Some k -> max 0 (min k threads)
@@ -304,7 +320,7 @@ let inject_cmd =
           seed-chosen protocol points and verify the survivors' wait-free completion")
     Term.(
       const run
-      $ Arg.(value & opt int 8 & info [ "threads" ] ~docv:"N" ~doc:"Storm domains.")
+      $ Arg.(value & opt thread_count 8 & info [ "threads" ] ~docv:"N" ~doc:"Storm domains.")
       $ Arg.(
           value
           & opt (some int) None
@@ -339,8 +355,8 @@ let inject_cmd =
 let shard_cmd =
   let module R = Shard.Storm in
   let run shards batch threads victims seed ops park bounded kill =
-    if threads < 1 || shards < 1 || batch < 1 then begin
-      prerr_endline "repro shard: need threads >= 1, --shards >= 1, --batch >= 1";
+    if shards < 1 || batch < 1 then begin
+      prerr_endline "repro shard: need --shards >= 1, --batch >= 1";
       exit 2
     end;
     let victims =
@@ -494,7 +510,7 @@ let shard_cmd =
       const run
       $ Arg.(value & opt int 4 & info [ "shards" ] ~docv:"S" ~doc:"Router shards.")
       $ Arg.(value & opt int 4 & info [ "batch" ] ~docv:"K" ~doc:"Values per batch operation.")
-      $ Arg.(value & opt int 8 & info [ "threads" ] ~docv:"N" ~doc:"Storm domains.")
+      $ Arg.(value & opt thread_count 8 & info [ "threads" ] ~docv:"N" ~doc:"Storm domains.")
       $ Arg.(
           value
           & opt (some int) None
@@ -996,7 +1012,7 @@ let topology_cmd =
           value
           & opt string "adaptive"
           & info [ "variant" ] ~docv:"V" ~doc:"Variant: spsc, mpsc, spmc or adaptive.")
-      $ Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N" ~doc:"Storm domains (>= 2).")
+      $ Arg.(value & opt thread_count 4 & info [ "threads" ] ~docv:"N" ~doc:"Storm domains (>= 2).")
       $ Arg.(
           value
           & opt (some int) None

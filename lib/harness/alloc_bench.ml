@@ -109,7 +109,7 @@ let default_rows ?warmup_pairs ?pairs () =
   [
     (* the generic option API: its words/op is the Some box, by design *)
     measure ?warmup_pairs ?pairs (Queues.wf ~patience:10 ());
-    (* the same build through dequeue_or: the zero the CI gate pins *)
+    (* the same build through dequeue_or: the zero the alloc test pins *)
     measure ?warmup_pairs ?pairs ~via_dequeue_or:true
       (Queues.wf ~patience:10 ~name:"wf-10-deq-or" ());
     (* instrumented build: the event tier must add no words *)
@@ -133,30 +133,3 @@ let default_rows ?warmup_pairs ?pairs () =
        nothing to allocate at all *)
     measure ?warmup_pairs ?pairs ~via_dequeue_or:true (Queues.scq ~name:"scq-deq-or" ());
   ]
-
-let row_to_json r =
-  Json.Obj
-    [
-      ("name", Json.String r.aname);
-      ("pairs", Json.Int r.pairs);
-      ("via_dequeue_or", Json.Bool r.via_dequeue_or);
-      ("words_per_enqueue", Json.Float r.words_per_enqueue);
-      ("words_per_dequeue", Json.Float r.words_per_dequeue);
-      ("words_per_op", Json.Float r.words_per_op);
-    ]
-
-let rows_to_json rows = Json.List (List.map row_to_json rows)
-
-let pp_rows fmt rows =
-  let line = String.make 66 '-' in
-  Format.fprintf fmt "%s@\n" line;
-  Format.fprintf fmt "%-18s %9s %5s %10s %10s %10s@\n" "queue" "pairs" "api" "w/enq" "w/deq"
-    "w/op";
-  Format.fprintf fmt "%s@\n" line;
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%-18s %9d %5s %10.4f %10.4f %10.4f@\n" r.aname r.pairs
-        (if r.via_dequeue_or then "or" else "opt")
-        r.words_per_enqueue r.words_per_dequeue r.words_per_op)
-    rows;
-  Format.fprintf fmt "%s@\n" line

@@ -1,5 +1,5 @@
 (** Deterministic allocations-per-operation measurement — the numbers
-    behind the CI alloc gate.
+    the tier-1 alloc test ([test/test_alloc.ml]) pins.
 
     Single-threaded enqueue/dequeue pairs, measured in steady state
     (after a warm-up long enough that retired segments are served back
@@ -7,8 +7,8 @@
     window around each call ({!Obs.Alloc_probe} accounting).  Unlike
     the {!Telemetry} alloc block — which measures whole-system words
     under real concurrency and is therefore noisy — these rows are
-    reproducible to a fraction of a word, which is what a regression
-    gate needs.
+    reproducible to a fraction of a word, which is what an exact
+    assertion needs.
 
     The default rows tell the PR-6 story: the generic option API pays
     exactly its [Some] box, [dequeue_or] pays nothing, the
@@ -39,11 +39,8 @@ val measure_batch_into : ?warmup_pairs:int -> ?pairs:int -> ?batch:int -> unit -
     state. *)
 
 val default_rows : ?warmup_pairs:int -> ?pairs:int -> unit -> row list
-(** The gated set: wf-10 (option API), wf-10-deq-or, wf-10-obs-deq-or,
-    wf-int-10, wf-10-deq-batch-into-64, and the topology variants
-    (wf-spsc, wf-mpsc, wf-spmc, wf-shard-adaptive) which must hold the
-    same hot-path zero. *)
-
-val row_to_json : row -> Json.t
-val rows_to_json : row list -> Json.t
-val pp_rows : Format.formatter -> row list -> unit
+(** The pinned set: wf-10 (option API), wf-10-deq-or, wf-10-obs-deq-or,
+    wf-int-10, wf-10-deq-batch-into-64, the topology variants
+    (wf-spsc, wf-mpsc, wf-spmc, wf-shard-adaptive), wf-bounded-deq-or
+    and scq-deq-or.  Every [dequeue_or] row must hold the hot-path
+    zero. *)

@@ -26,16 +26,12 @@ let table1 () =
   Report.print ~title:"Table 1: the paper's platforms (rows 1-4) and this host (last row)" t;
   t
 
-type fig2_point = { queue : string; threads : int; interval : Stats.Student_t.interval }
-
-let figure2_data ?(quick = false) ?(threads = default_threads) ?queues ?total_ops
-    ?(title_note = "") kind =
+let figure2 ?(quick = false) ?(threads = default_threads) ?queues ?total_ops kind =
   let queues = match queues with Some qs -> qs | None -> Queues.figure2_set in
   let spec = spec_for kind ~quick ~total_ops in
   let t =
     Report.create ~header:("queue" :: List.map (fun k -> Printf.sprintf "%dT Mops/s" k) threads)
   in
-  let points = ref [] in
   let plotted =
     List.map
       (fun (f : Queues.factory) ->
@@ -44,27 +40,19 @@ let figure2_data ?(quick = false) ?(threads = default_threads) ?queues ?total_op
             threads
         in
         Report.add_row t (f.Queues.name :: List.map Report.cell_ci intervals);
-        List.iter2
-          (fun k iv -> points := { queue = f.Queues.name; threads = k; interval = iv } :: !points)
-          threads intervals;
         {
           Plot.label = f.Queues.name;
           points = Array.of_list (List.map (fun iv -> iv.Stats.Student_t.mean) intervals);
         })
       queues
   in
-  let what =
-    Printf.sprintf "Figure 2 (%s benchmark%s)" (Workload.kind_to_string kind) title_note
-  in
+  let what = Printf.sprintf "Figure 2 (%s benchmark)" (Workload.kind_to_string kind) in
   Report.print ~title:(what ^ ": throughput, think time excluded") t;
   Plot.print
     ~title:(what ^ " as a chart")
     ~x_labels:(List.map (fun k -> string_of_int k ^ "T") threads)
     ~y_label:"Mops/s" plotted;
-  (t, List.rev !points)
-
-let figure2 ?quick ?threads ?queues ?total_ops ?title_note kind =
-  fst (figure2_data ?quick ?threads ?queues ?total_ops ?title_note kind)
+  t
 
 (* Table 2 measures path percentages rather than time, so a single
    invocation of a few iterations per thread count suffices; the

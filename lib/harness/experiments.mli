@@ -3,9 +3,9 @@
 
     Every driver prints a {!Report} table to stdout and returns it so
     tests can assert on shape.  [quick] trades methodology strength
-    for time (3 invocations, shorter iterations) — used by
-    [bench/main.exe]; the full CLI defaults to the paper's
-    10-invocation methodology. *)
+    for time (3 invocations, shorter iterations) — [repro --quick]
+    and the tests; the full CLI defaults to the paper's 10-invocation
+    methodology. *)
 
 val table1 : unit -> Report.t
 (** Platform summary: the paper's four machines plus this host. *)
@@ -15,26 +15,12 @@ val figure2 :
   ?threads:int list ->
   ?queues:Queues.factory list ->
   ?total_ops:int ->
-  ?title_note:string ->
   Workload.kind ->
   Report.t
 (** Throughput (work-excluded Mops/s, 95% CI) of each queue across
     thread counts, for one of the two benchmarks.  Defaults: quick
     false; threads [1;2;4;8;16]; the Figure 2 queue set; 10^7 ops
     (quick: 4×10^5). *)
-
-type fig2_point = { queue : string; threads : int; interval : Stats.Student_t.interval }
-(** One (queue, thread count) measurement of {!figure2}. *)
-
-val figure2_data :
-  ?quick:bool ->
-  ?threads:int list ->
-  ?queues:Queues.factory list ->
-  ?total_ops:int ->
-  ?title_note:string ->
-  Workload.kind ->
-  Report.t * fig2_point list
-(** [figure2] plus the raw points, for [bench/main.exe --json]. *)
 
 val table2 : ?quick:bool -> ?threads:int list -> ?total_ops:int -> unit -> Report.t
 (** Execution-path breakdown of WF-0 under the 50%-enqueues benchmark

@@ -1,8 +1,7 @@
-(* A minimal JSON codec — just enough for [bench/main.exe --json] to
-   emit machine-readable results and for the bench regression gate to
-   read them back, without adding a dependency the container doesn't
-   have.  The emitter round-trips through the parser losslessly
-   (floats included), which the harness tests check. *)
+(* A minimal JSON emitter — just enough for [repro stats --json] to
+   write machine-readable rows without adding a dependency the
+   container doesn't have.  Floats are written in shortest
+   round-trip form, which the harness tests check. *)
 
 type t =
   | Null
@@ -30,8 +29,8 @@ let escape_string s =
 
 let float_token f =
   (* Shortest decimal form that parses back to the same float; a
-     trailing [.0] keeps integral values in the Float constructor on
-     reparse. *)
+     trailing [.0] keeps integral values readable as floats, not
+     ints. *)
   let s = Printf.sprintf "%.15g" f in
   let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
@@ -91,237 +90,3 @@ let save t ~path =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string t))
-
-(* ---------------------------------------------------------------- *)
-(* Parsing: plain recursive descent over the input string.  Supports
-   everything the emitter produces plus the rest of RFC 8259 (\u
-   escapes, any-sign exponents); numbers with '.', 'e' or 'E' become
-   [Float], others [Int] (falling back to [Float] on int overflow). *)
-
-exception Parse_error of int * string
-
-let parse_error pos fmt = Printf.ksprintf (fun m -> raise (Parse_error (pos, m))) fmt
-
-type parser_state = { input : string; mutable pos : int }
-
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
-
-let skip_ws st =
-  let n = String.length st.input in
-  while
-    st.pos < n
-    && match st.input.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
-    st.pos <- st.pos + 1
-  done
-
-let expect st c =
-  match peek st with
-  | Some c' when c' = c -> st.pos <- st.pos + 1
-  | Some c' -> parse_error st.pos "expected '%c', found '%c'" c c'
-  | None -> parse_error st.pos "expected '%c', found end of input" c
-
-let literal st word value =
-  let n = String.length word in
-  if st.pos + n <= String.length st.input && String.sub st.input st.pos n = word then begin
-    st.pos <- st.pos + n;
-    value
-  end
-  else parse_error st.pos "invalid literal"
-
-let add_utf8 buf code =
-  (* The \uXXXX escape decodes to a Unicode scalar; re-encode UTF-8.
-     Surrogate halves are passed through as-is (WTF-8-ish) rather than
-     rejected — the emitter never produces them. *)
-  if code < 0x80 then Buffer.add_char buf (Char.chr code)
-  else if code < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-
-let parse_string_body st =
-  expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> parse_error st.pos "unterminated string"
-    | Some '"' -> st.pos <- st.pos + 1
-    | Some '\\' ->
-      st.pos <- st.pos + 1;
-      (match peek st with
-      | None -> parse_error st.pos "unterminated escape"
-      | Some c ->
-        st.pos <- st.pos + 1;
-        (match c with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if st.pos + 4 > String.length st.input then
-            parse_error st.pos "truncated \\u escape";
-          let hex = String.sub st.input st.pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex)
-            with _ -> parse_error st.pos "invalid \\u escape %S" hex
-          in
-          st.pos <- st.pos + 4;
-          add_utf8 buf code
-        | c -> parse_error (st.pos - 1) "invalid escape '\\%c'" c));
-      go ()
-    | Some c ->
-      st.pos <- st.pos + 1;
-      Buffer.add_char buf c;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_number st =
-  let start = st.pos in
-  let n = String.length st.input in
-  if peek st = Some '-' then st.pos <- st.pos + 1;
-  while st.pos < n && match st.input.[st.pos] with '0' .. '9' -> true | _ -> false do
-    st.pos <- st.pos + 1
-  done;
-  let is_float = ref false in
-  if peek st = Some '.' then begin
-    is_float := true;
-    st.pos <- st.pos + 1;
-    while st.pos < n && match st.input.[st.pos] with '0' .. '9' -> true | _ -> false do
-      st.pos <- st.pos + 1
-    done
-  end;
-  (match peek st with
-  | Some ('e' | 'E') ->
-    is_float := true;
-    st.pos <- st.pos + 1;
-    (match peek st with Some ('+' | '-') -> st.pos <- st.pos + 1 | _ -> ());
-    while st.pos < n && match st.input.[st.pos] with '0' .. '9' -> true | _ -> false do
-      st.pos <- st.pos + 1
-    done
-  | _ -> ());
-  let tok = String.sub st.input start (st.pos - start) in
-  if !is_float then
-    match float_of_string_opt tok with
-    | Some f -> Float f
-    | None -> parse_error start "invalid number %S" tok
-  else
-    match int_of_string_opt tok with
-    | Some i -> Int i
-    | None -> (
-      (* magnitude beyond [max_int]: degrade to float like other
-         63-bit-int JSON readers do *)
-      match float_of_string_opt tok with
-      | Some f -> Float f
-      | None -> parse_error start "invalid number %S" tok)
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | None -> parse_error st.pos "unexpected end of input"
-  | Some 'n' -> literal st "null" Null
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some '"' -> String (parse_string_body st)
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some '[' ->
-    st.pos <- st.pos + 1;
-    skip_ws st;
-    if peek st = Some ']' then begin
-      st.pos <- st.pos + 1;
-      List []
-    end
-    else begin
-      let items = ref [ parse_value st ] in
-      skip_ws st;
-      while peek st = Some ',' do
-        st.pos <- st.pos + 1;
-        items := parse_value st :: !items;
-        skip_ws st
-      done;
-      expect st ']';
-      List (List.rev !items)
-    end
-  | Some '{' ->
-    st.pos <- st.pos + 1;
-    skip_ws st;
-    if peek st = Some '}' then begin
-      st.pos <- st.pos + 1;
-      Obj []
-    end
-    else begin
-      let field () =
-        skip_ws st;
-        let k = parse_string_body st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        (k, v)
-      in
-      let fields = ref [ field () ] in
-      skip_ws st;
-      while peek st = Some ',' do
-        st.pos <- st.pos + 1;
-        fields := field () :: !fields;
-        skip_ws st
-      done;
-      expect st '}';
-      Obj (List.rev !fields)
-    end
-  | Some c -> parse_error st.pos "unexpected character '%c'" c
-
-let of_string s =
-  let st = { input = s; pos = 0 } in
-  match
-    let v = parse_value st in
-    skip_ws st;
-    if st.pos <> String.length s then
-      parse_error st.pos "trailing garbage after JSON value";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error (pos, msg) ->
-    Error (Printf.sprintf "JSON parse error at offset %d: %s" pos msg)
-
-let load ~path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> of_string s
-  | exception Sys_error msg -> Error msg
-
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool a, Bool b -> a = b
-  | Int a, Int b -> a = b
-  | Float a, Float b -> (Float.is_nan a && Float.is_nan b) || a = b
-  | String a, String b -> String.equal a b
-  | List a, List b -> List.length a = List.length b && List.for_all2 equal a b
-  | Obj a, Obj b ->
-    List.length a = List.length b
-    && List.for_all2 (fun (ka, va) (kb, vb) -> String.equal ka kb && equal va vb) a b
-  | _ -> false
-
-(* Accessors used by the regression gate; total, returning options. *)
-
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
-
-let to_float_opt = function
-  | Float f -> Some f
-  | Int i -> Some (float_of_int i)
-  | _ -> None
-
-let to_int_opt = function Int i -> Some i | _ -> None
-let to_list_opt = function List l -> Some l | _ -> None
-let to_string_opt = function String s -> Some s | _ -> None

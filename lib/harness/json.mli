@@ -1,11 +1,10 @@
-(** Minimal JSON codec for [bench/main.exe --json] and the bench
-    regression gate (no external dependency).
+(** Minimal JSON emitter for [repro stats --json] (no external
+    dependency).
 
-    The emitter and parser round-trip: for any [t] free of non-finite
-    floats, [of_string (to_string t) = Ok t] structurally — floats are
-    emitted in shortest-round-trip decimal form with a trailing [.0]
-    to keep integral values in {!Float}.  Non-finite floats encode as
-    [null] (JSON has no NaN/Infinity literals). *)
+    Floats are emitted in shortest-round-trip decimal form, with a
+    trailing [.0] on integral values so a reader can tell them from
+    {!Int}.  Non-finite floats encode as [null] (JSON has no
+    NaN/Infinity literals). *)
 
 type t =
   | Null
@@ -20,28 +19,3 @@ val to_string : t -> string
 (** Pretty-printed (2-space indent), trailing newline. *)
 
 val save : t -> path:string -> unit
-
-val of_string : string -> (t, string) result
-(** Parse one JSON value; trailing non-whitespace is an error.
-    Numbers containing ['.'], ['e'] or ['E'] parse as {!Float}, others
-    as {!Int} (falling back to {!Float} beyond [max_int]). *)
-
-val load : path:string -> (t, string) result
-
-val equal : t -> t -> bool
-(** Structural equality.  Object fields compare in order — two objects
-    with the same bindings in different order are unequal (the
-    emitter's output order is deterministic, so round-trips are
-    unaffected).  NaN equals NaN. *)
-
-val member : string -> t -> t option
-(** [member k (Obj fields)] is the first binding of [k]; [None] on
-    non-objects. *)
-
-val to_float_opt : t -> float option
-(** Numeric payload: [Float f] gives [f], [Int i] gives
-    [float_of_int i]. *)
-
-val to_int_opt : t -> int option
-val to_list_opt : t -> t list option
-val to_string_opt : t -> string option

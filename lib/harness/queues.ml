@@ -240,12 +240,12 @@ let wf_batch ?(batch = 8) ?(patience = 10) ?name () =
 (* The specialized topology variants.  A bench [ops] uses one handle
    for both roles, which every variant permits (the role claims are
    per-handle, and a retire releases them), so the single-threaded
-   bechamel pair and the alloc probe are legal on all of them.  They
-   are registered in [all] — and deliberately NOT in [figure2_set]:
-   the multi-thread pairs workload would put several producers and
+   pair and the alloc probe are legal on all of them.  They are
+   registered in [all] — and deliberately NOT in [figure2_set]: the
+   multi-thread pairs workload would put several producers and
    consumers on one queue, which is exactly the contract these
-   variants check and reject.  Their multi-threaded numbers come from
-   [Topology_bench], which builds role-correct workloads. *)
+   variants check and reject.  Role-correct multi-domain runs are
+   [repro topology]'s storms. *)
 
 let wf_spsc ?segment_shift ?max_garbage ?reclamation ?name () =
   let name = match name with Some n -> n | None -> "wf-spsc" in

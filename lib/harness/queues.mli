@@ -92,7 +92,7 @@ val wf_spsc :
     handle legally holds both roles; a concurrent second producer or
     consumer would be rejected by the role claim, so this factory is
     in {!all} (single-threaded pair) but not {!figure2_set} — its
-    multi-threaded numbers come from [Topology_bench]. *)
+    role-correct multi-domain runs are [repro topology]'s storms. *)
 
 val wf_mpsc :
   ?segment_shift:int -> ?max_garbage:int -> ?reclamation:bool -> ?name:string -> unit -> factory

@@ -16,8 +16,8 @@ type run_result = {
    strictly inside the latency window — the meter's own bookkeeping
    lands outside what it measures.  Concurrent runs include the real
    contention effects (segment churn, helping), so these are
-   whole-system words/op; the deterministic steady-state number the CI
-   gate pins comes from [Alloc_bench]. *)
+   whole-system words/op; the deterministic steady-state number the
+   alloc test pins comes from [Alloc_bench]. *)
 let timed_ops (ops : Queues.ops) (lat : Obs.Op_latency.t) (alloc : Obs.Alloc_probe.t) =
   let time cls acls f =
     let t0 = Primitives.Clock.now_ns () in
@@ -124,6 +124,37 @@ let pp_table fmt rows =
           (c.Obs.Counters.help_enqueues + c.Obs.Counters.help_dequeues))
     rows;
   Format.fprintf fmt "%s@\n" line
+
+(* ----------------------------- the slow-path ceiling -------------- *)
+
+let ceiling_patience = 10
+let max_slow_rate = 1e-3
+
+type verdict = Within of float | Exceeded of float | Unmeasured
+
+let slow_path_verdict rows =
+  match
+    List.find_map
+      (fun { patience; result } ->
+        if patience = ceiling_patience then result.snapshot else None)
+      rows
+  with
+  | None -> Unmeasured
+  | Some snap ->
+    let rate = Obs.Counters.slow_rate snap.Obs.Snapshot.ops in
+    if rate <= max_slow_rate then Within rate else Exceeded rate
+
+let pp_verdict fmt v =
+  let judged outcome rate =
+    Format.fprintf fmt "slow-path ceiling: %s (rate %.2e at patience %d, limit %.0e)" outcome rate
+      ceiling_patience max_slow_rate
+  in
+  match v with
+  | Within rate -> judged "PASS" rate
+  | Exceeded rate -> judged "FAIL" rate
+  | Unmeasured ->
+    Format.fprintf fmt "slow-path ceiling: not checked (no patience-%d row with telemetry)"
+      ceiling_patience
 
 (* ----------------------------- JSON ------------------------------- *)
 

@@ -7,8 +7,7 @@
     path is invisible to a throughput smoke run but turns into GC
     pressure — and eventually collection pauses — under production
     load.  This tier makes the number measurable and therefore
-    gateable ({!Harness.Gate}'s alloc checks, [bin/bench_gate.exe
-    --alloc-ceiling]).
+    assertable (the exact words/op rows of [test/test_alloc.ml]).
 
     Two pieces:
 

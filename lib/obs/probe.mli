@@ -12,8 +12,8 @@
     closure to call, and no per-queue or per-handle flag on the
     operation paths.  A [Disabled] instantiation ([Wfqueue]) keeps the
     exact PR-2 hot path — the only residue is the never-taken branch
-    on the constant, which the benchmark harness verifies is within
-    noise (see BENCH_pr3.json, [wf-10] vs [wf-10-obs] pair cost).  An
+    on the constant, and the disabled build's pair cost measured
+    within noise of the probe-free hot path it replaced.  An
     [Enabled] instantiation ([Wfqueue_obs]) records the full event
     tier of {!Counters}.
 

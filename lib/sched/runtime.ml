@@ -364,10 +364,10 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
     in
     let rec loop idle_spins =
       let outcome =
-        (* Fault isolation, as in the old [Pool]: an exception escaping
-           a ticket must not silently shrink the pool; [Abort_worker]
-           and an injected [Killed] are the deliberate death channels,
-           visible in [worker_deaths]. *)
+        (* Fault isolation: an exception escaping a ticket must not
+           silently shrink the pool; [Abort_worker] and an injected
+           [Killed] are the deliberate death channels, visible in
+           [worker_deaths]. *)
         try
           match step () with
           | `Ran -> `Ran

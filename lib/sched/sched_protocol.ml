@@ -1,15 +1,13 @@
-(* The lock-free admission / shutdown / drain protocol shared by the
-   task scheduler ([Sched.Runtime]) and the worker pool ([Pool], a
-   thin shim over the scheduler since PR 10; [Pool.Protocol] re-exports
-   this module so older call sites keep compiling).  A functor over the
-   atomic primitives and the run queue: production instantiates it on
-   hardware atomics and [Wfq.Wfqueue]; the test suite instantiates the
-   same text on the simsched shim ([Simsched.Sim.Atomic_shim] +
-   [Sim.Queue]) and explores submit-vs-shutdown-vs-worker interleavings
-   exhaustively — the interleaving that stranded futures in the
-   original pool (a worker observing EMPTY, then [stopping], and
-   exiting while a racing submit's task sat queued) lives entirely in
-   this protocol, so this is the text that must be model-checked.
+(* The lock-free admission / shutdown / drain protocol of the task
+   scheduler ([Sched.Runtime]).  A functor over the atomic primitives
+   and the run queue: production instantiates it on hardware atomics
+   and [Wfq.Wfqueue]; test/test_sched.ml instantiates the same text on
+   the simsched shim ([Simsched.Sim.Atomic_shim] + [Sim.Queue]) and
+   explores submit-vs-shutdown-vs-worker interleavings exhaustively —
+   the interleaving that strands a promise (a worker observing EMPTY,
+   then [stopping], and exiting while a racing submit's task sat
+   queued) lives entirely in this protocol, so this is the text that
+   must be model-checked.
 
    The protocol's unit is the [ticket]: a queued task plus a claim
    word.  The claim is the exactly-once point — whoever wins the CAS

@@ -6,11 +6,9 @@
    path counters, linearizability, and wait-freedom are the ones the
    test suite checks on the production build.
 
-   Used by the telemetry harness ([Harness.Telemetry], the
-   [repro stats] subcommand, and the bench JSON telemetry block); the
-   pair-cost delta against [Wfqueue] in BENCH_pr3.json is the measured
-   price of the instrumentation (the disabled build pays none of
-   it). *)
+   Used by the telemetry harness ([Harness.Telemetry] and the
+   [repro stats] subcommand); the disabled build ([Wfqueue]) pays none
+   of the instrumentation's cost. *)
 
 include Wfqueue_algo.Make (Atomic_prims.Real) (Obs.Probe.Enabled) (Inject.Disabled)
 

@@ -1,12 +1,15 @@
 (* Tests for the effects-based task scheduler (lib/sched).
 
    Three layers, mirroring how the subsystem is built:
-   - the lock-free core (promises + Chase–Lev deque) model-checked on
-     the simsched shim: exhaustive preemption-bounded exploration and
-     ≥500-seed random sweeps of the steal-vs-pop and resolve-vs-await
-     races, plus seeded kill storms at the new injection points;
+   - the lock-free core (promises + Chase–Lev deque) and the
+     admission/shutdown/drain protocol model-checked on the simsched
+     shim: exhaustive preemption-bounded exploration and ≥500-seed
+     random sweeps of the steal-vs-pop, resolve-vs-await and
+     submit-vs-shutdown races, plus seeded kill storms at the new
+     injection points;
    - the runtime on real domains (Sched.Scheduler): fan-out/fan-in,
-     micropools, worker death, shutdown stranding;
+     micropools, external submitters, worker death, shutdown
+     stranding;
    - the storm build (Sched.Scheduler_inject): seeded kill plans over
      the queue and scheduler windows, asserting zero stranded
      promises. *)
@@ -308,6 +311,126 @@ let test_park_storms () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Admission / shutdown / drain protocol (simulated)                  *)
+
+(* The bug this guards against: a worker dequeues EMPTY, then observes
+   [stopping], and exits while a racing submit's ticket sits queued —
+   the submitter's promise would then never resolve.  Running the
+   exact shipped protocol text ([Sched.Sched_protocol.Make]) on
+   [Sim.Atomic_shim] makes every atomic access a preemption point, so
+   the race windows are explored deterministically. *)
+
+module SimQ = Sim.Queue
+
+module SP =
+  Sched.Sched_protocol.Make
+    (Sim.Atomic_shim)
+    (struct
+      type 'a t = 'a SimQ.t
+      type 'a handle = 'a SimQ.handle
+
+      let enqueue = SimQ.enqueue
+      let dequeue = SimQ.dequeue
+    end)
+
+(* One scenario: [n_sub] submitters race one shutdowner and one
+   bounded worker shift.  Resolution counts are checked after the
+   post-run worker finish + residual drain (both outside the
+   scheduler, where sim yields are no-ops — modelling
+   [Scheduler.shutdown] running after the interleaving settled). *)
+type proto_state = {
+  proto : SP.t;
+  handles : SP.ticket SimQ.handle array;
+  resolutions : int array; (* run+abort calls per submitter's ticket *)
+  admissions : SP.admission option array;
+}
+
+let make_proto_state ~n_sub () =
+  let q = SimQ.create ~patience:1 () in
+  {
+    proto = SP.create q;
+    handles = Array.init (n_sub + 2) (fun _ -> SimQ.register q);
+    resolutions = Array.make n_sub 0;
+    admissions = Array.make n_sub None;
+  }
+
+let proto_fibers st ~n_sub =
+  let submitter s () =
+    let a =
+      SP.submit st.proto st.handles.(s)
+        ~run:(fun () -> st.resolutions.(s) <- st.resolutions.(s) + 1)
+        ~abort:(fun () -> st.resolutions.(s) <- st.resolutions.(s) + 1)
+    in
+    st.admissions.(s) <- Some a
+  in
+  let shutdowner () = SP.begin_shutdown st.proto in
+  let worker () =
+    (* bounded shift: the systematic explorer cannot drive an
+       unbounded idle loop to completion *)
+    let budget = ref 60 in
+    let continue = ref true in
+    while !continue && !budget > 0 do
+      decr budget;
+      match SP.worker_step st.proto st.handles.(n_sub) with
+      | SP.Exit -> continue := false
+      | SP.Ran | SP.Stale | SP.Idle -> ()
+    done
+  in
+  Array.append (Array.init n_sub submitter) [| shutdowner; worker |]
+
+let proto_check st ~n_sub ~ident =
+  (* after the interleaving: the shutdown path finishes the worker's
+     shift and sweeps residuals, exactly like [Scheduler.shutdown] *)
+  let continue = ref true in
+  let budget = ref 10_000 in
+  while !continue do
+    decr budget;
+    if !budget = 0 then Alcotest.failf "%s: worker never drained out" ident;
+    match SP.worker_step st.proto st.handles.(n_sub) with
+    | SP.Exit -> continue := false
+    | SP.Ran | SP.Stale | SP.Idle -> ()
+  done;
+  ignore (SP.drain st.proto st.handles.(n_sub + 1));
+  for s = 0 to n_sub - 1 do
+    match st.admissions.(s) with
+    | None -> Alcotest.failf "%s: submitter %d never returned" ident s
+    | Some SP.Rejected ->
+      if st.resolutions.(s) <> 0 then
+        Alcotest.failf "%s: rejected ticket %d resolved %d times" ident s st.resolutions.(s)
+    | Some (SP.Accepted | SP.Aborted) ->
+      if st.resolutions.(s) <> 1 then
+        Alcotest.failf "%s: ticket %d resolved %d times (want exactly 1)" ident s
+          st.resolutions.(s)
+  done
+
+let test_protocol_explore () =
+  (* systematic: every schedule with <= 2 forced preemptions of
+     2 submitters vs shutdown vs worker *)
+  let n_sub = 2 in
+  let state = ref None in
+  let r =
+    Sim.explore ~max_schedules:60_000 ~preemptions:2
+      ~make_fibers:(fun () ->
+        let st = make_proto_state ~n_sub () in
+        state := Some st;
+        proto_fibers st ~n_sub)
+      ~check:(fun () -> proto_check (Option.get !state) ~n_sub ~ident:"explore")
+      ()
+  in
+  if r.Sim.truncated_runs > 0 then Alcotest.fail "truncated schedules in protocol exploration";
+  check Alcotest.bool "explored a non-trivial space" true (r.Sim.schedules > 100)
+
+let test_protocol_seed_sweep () =
+  (* randomized: deeper interleavings than the preemption bound *)
+  let n_sub = 3 in
+  for seed = 1 to 1_000 do
+    let st = make_proto_state ~n_sub () in
+    let stats = Sim.run ~seed:(Int64.of_int seed) (proto_fibers st ~n_sub) in
+    if stats.Sim.max_steps_hit then Alcotest.failf "seed %d: step limit" seed;
+    proto_check st ~n_sub ~ident:(Printf.sprintf "seed %d" seed)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Runtime on real domains                                            *)
 
 module S = Sched.Scheduler
@@ -513,6 +636,89 @@ let test_no_strand_after_all_workers_die () =
   check Alcotest.bool "sweep aborted something" true (o.S.aborted_promises >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* The default pool seen from outside: external submitters            *)
+
+let test_exception_propagates () =
+  (* a task's exception resolves its promise, and re-raises in a
+     fiber awaiting it, so it reaches the outermost awaiter *)
+  with_sched (fun t ->
+      let failing = S.async t (fun () -> failwith "boom") in
+      let parent = S.async t (fun () -> S.Promise.await failing + 1) in
+      List.iter
+        (fun p ->
+          match S.Promise.result p with
+          | Error (Failure msg) -> check Alcotest.string "exn payload" "boom" msg
+          | Ok _ | Error _ -> Alcotest.fail "expected Failure")
+        [ failing; parent ])
+
+let test_exception_does_not_kill_worker () =
+  with_sched ~workers:1 (fun t ->
+      ignore (S.Promise.result (S.async t (fun () -> failwith "first")));
+      (* the single worker must have survived to run this: *)
+      check Alcotest.bool "worker alive" true (S.Promise.result (S.async t (fun () -> 7)) = Ok 7))
+
+let test_poll () =
+  with_sched (fun t ->
+      let p = S.async t (fun () -> 5) in
+      ignore (S.Promise.result p);
+      check Alcotest.bool "poll after resolve" true (S.Promise.poll p = Some (Ok 5));
+      let stalled =
+        S.async t (fun () ->
+            Unix.sleepf 0.05;
+            1)
+      in
+      (* may or may not be done yet; both are legal, it must not hang *)
+      ignore (S.Promise.poll stalled);
+      ignore (S.Promise.result stalled))
+
+let test_submitters_from_many_domains () =
+  with_sched ~workers:2 (fun t ->
+      let submitters =
+        List.init 3 (fun s ->
+            Domain.spawn (fun () -> List.init 100 (fun i -> S.async t (fun () -> (s * 100) + i))))
+      in
+      let promises = List.concat_map Domain.join submitters in
+      let total =
+        List.fold_left
+          (fun acc p -> match S.Promise.result p with Ok v -> acc + v | Error _ -> acc)
+          0 promises
+      in
+      (* sum over s in 0..2, i in 0..99 of (100 s + i) *)
+      check Alcotest.int "all results" ((300 * 100) + (3 * 4950)) total)
+
+let test_shutdown_under_load () =
+  (* many rounds of: submitter domains racing a shutdown.  Every
+     promise returned by a successful [async] must resolve — with the
+     task's value or with Error Shutdown, never nothing. *)
+  for round = 1 to 300 do
+    let t = S.create ~workers:1 () in
+    let submitter s =
+      Domain.spawn (fun () ->
+          let rec grab i acc =
+            if i >= 8 then acc
+            else
+              match S.async t (fun () -> (s * 100) + i) with
+              | p -> grab (i + 1) (p :: acc)
+              | exception Invalid_argument _ -> acc (* scheduler closed: legal *)
+          in
+          grab 0 [])
+    in
+    let d1 = submitter 1 and d2 = submitter 2 in
+    (* race the shutdown against the submissions *)
+    S.shutdown t;
+    let promises = Domain.join d1 @ Domain.join d2 in
+    List.iteri
+      (fun i p ->
+        match poll_until ~what:(Printf.sprintf "round %d promise %d" round i) p with
+        | Ok _ | Error S.Shutdown -> ()
+        | Error e -> Alcotest.failf "round %d: unexpected error %s" round (Printexc.to_string e))
+      promises;
+    check Alcotest.int
+      (Printf.sprintf "round %d: no live workers after shutdown" round)
+      0 (List.hd (S.obs t)).S.live_workers
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Storm build: seeded kill plans over queue + scheduler windows      *)
 
 module SI = Sched.Scheduler_inject
@@ -619,6 +825,11 @@ let () =
           Alcotest.test_case "resolve window kills + recovery" `Quick test_kill_resolve_window;
           Alcotest.test_case "park storms at sched points" `Quick test_park_storms;
         ] );
+      ( "protocol",
+        [
+          Alcotest.test_case "submit vs shutdown vs worker, explored" `Quick test_protocol_explore;
+          Alcotest.test_case "seeded interleaving sweep" `Quick test_protocol_seed_sweep;
+        ] );
       ( "runtime",
         [
           Alcotest.test_case "async / await" `Quick test_async_await;
@@ -633,6 +844,16 @@ let () =
           Alcotest.test_case "no strand after all workers die" `Quick
             test_no_strand_after_all_workers_die;
         ] );
+      ( "pool",
+        [
+          Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
+          Alcotest.test_case "worker survives exception" `Quick test_exception_does_not_kill_worker;
+          Alcotest.test_case "poll" `Quick test_poll;
+          Alcotest.test_case "many submitters" `Quick test_submitters_from_many_domains;
+        ] );
+      ( "adversity",
+        [ Alcotest.test_case "shutdown under load strands nothing" `Quick test_shutdown_under_load ]
+      );
       ( "storms",
         [
           Alcotest.test_case "seeded kill storm (fan-out)" `Quick test_storm_kill_fan_out;
