@@ -245,7 +245,7 @@ let wf_batch ?(batch = 8) ?(patience = 10) ?name () =
    multi-thread pairs workload would put several producers and
    consumers on one queue, which is exactly the contract these
    variants check and reject.  Role-correct multi-domain runs are
-   [repro topology]'s storms. *)
+   [repro topology]'s storm subjects over [Harness.Storm]. *)
 
 let wf_spsc ?segment_shift ?max_garbage ?reclamation ?name () =
   let name = match name with Some n -> n | None -> "wf-spsc" in

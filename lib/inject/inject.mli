@@ -13,8 +13,10 @@
     thread exactly there.  The queue algorithm takes an injector as a
     compile-time functor argument (exactly like the {!Obs.Probe}): the
     {!Disabled} instantiation compiles to nothing on the production
-    build (verified by the bench gate against the committed baseline),
-    while {!Enabled} consults a globally installed controller.
+    build (test_inject's "injector wiring per build" runs it under an
+    always-park controller and sees no hit; test_alloc's exact rows
+    show the hooks cost no allocation), while {!Enabled} consults a
+    globally installed controller.
 
     Faults are replayable: {!Plan} derives every decision from a
     {!Primitives.Splitmix64} seed, so a failing storm reprints as

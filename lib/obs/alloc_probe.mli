@@ -66,9 +66,9 @@ val pp : Format.formatter -> t -> unit
 (** The compile-time-gated meter.  [P.enabled] is a structure constant
     of the instantiation ({!Probe.Disabled} / {!Probe.Enabled}), so
     the disabled meter's [start] and [record] are empty after constant
-    folding — the same zero-cost argument as the event-tier probe,
-    verified the same way (the bench gate's throughput checks on the
-    disabled build). *)
+    folding — the same zero-cost argument as the event-tier probe.
+    test_alloc's "meter disabled" checks that it reads 0 and records
+    nothing. *)
 module Meter (P : Probe.S) : sig
   val enabled : bool
 

@@ -4,7 +4,7 @@
    [Wfq.Wfqueue_algo]: [Simsched.Sim.Sched_core] instantiates this
    text on the simsched shim and model-checks the steal-vs-pop and
    resolve-vs-await races, while the production build
-   ([Sched.Scheduler]) compiles both tiers out (bench gate).
+   ([Sched.Scheduler]) compiles both tiers out.
 
    The deque closes the ROADMAP note that the SPMC ticket queue in
    [lib/topology] is not a stealing deque: SPMC consumers all contend

@@ -247,7 +247,7 @@ module Router (A : Primitives.Atomic_prims.S) (Q : QUEUE) : sig
 
   val pp_snapshot_table : Format.formatter -> 'a t -> unit
   (** One row per shard (ops, slow paths, segments) plus the router
-      counters — the [repro shard] report. *)
+      counters — the footprint [repro shard]'s storm prints. *)
 end
 
 (** {1 Instantiations} *)

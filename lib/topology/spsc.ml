@@ -1,4 +1,4 @@
 (* Production SPSC build: hardware atomics, probe and injector
-   compiled out — the bare hot path the bench gate prices. *)
+   compiled out. *)
 
 include Spsc_algo.Make (Primitives.Atomic_prims.Real) (Obs.Probe.Disabled) (Inject.Disabled)

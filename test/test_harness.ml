@@ -429,6 +429,41 @@ let test_wf_obs_in_registry () =
   check Alcotest.bool "wf-10-obs registered" true
     (Harness.Queues.find "wf-10-obs" <> None)
 
+(* ------------------------------------------------------------------ *)
+(* Storm audit                                                        *)
+
+(* The conservation rule on a hand-made ledger: 2 domains of 4 values
+   each, both committed 3; domain 0 was killed, domain 1 completed.
+   Kills are read from the injector's counters, so a missing value is
+   excused only after a real kill at a dequeue-side point. *)
+let test_storm_audit_rule () =
+  let module S = Harness.Storm in
+  let committed = [| 3; 3 |] in
+  let outcomes = [| S.Killed Inject.Enq_fast_after_faa; S.Completed |] in
+  let violations values =
+    List.length (S.audit ~ops:4 ~batch:1 ~committed ~outcomes values).S.violations
+  in
+  let all = [ 0; 1; 2; 4; 5; 6 ] in
+  let kill_at p =
+    let plan = Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ p ] ~seed:1L () in
+    S.with_controller ~park:ignore ~victim:(fun () -> true) plan (fun () ->
+        match Inject.Enabled.hit p with
+        | () -> Alcotest.fail "the armed point did not kill"
+        | exception Inject.Killed _ -> ())
+  in
+  Inject.reset_stats ();
+  check Alcotest.int "exact conservation passes" 0 (violations all);
+  check Alcotest.int "a killed domain's in-flight value may appear" 0 (violations (3 :: all));
+  check Alcotest.int "a survivor's uncommitted value is alien" 1 (violations (7 :: all));
+  check Alcotest.int "a value with no owner is alien" 1 (violations (8 :: -1 :: all));
+  check Alcotest.int "a duplicate is caught" 1 (violations (5 :: all));
+  check Alcotest.int "a missing value is caught" 1 (violations (List.tl all));
+  kill_at Inject.Enq_fast_after_faa;
+  check Alcotest.int "an enqueue-side kill excuses nothing" 1 (violations (List.tl all));
+  kill_at Inject.Deq_fast_after_faa;
+  check Alcotest.int "a dequeue-side kill excuses one value" 0 (violations (List.tl all));
+  check Alcotest.int "but not two" 1 (violations (List.tl (List.tl all)))
+
 let () =
   Alcotest.run "harness"
     [
@@ -460,6 +495,7 @@ let () =
           Alcotest.test_case "cells" `Quick test_report_cells;
         ] );
       ("platform", [ Alcotest.test_case "rows" `Quick test_platform_rows ]);
+      ("storm", [ Alcotest.test_case "audit rule" `Quick test_storm_audit_rule ]);
       ( "plot",
         [
           Alcotest.test_case "render shape" `Quick test_plot_render_shape;

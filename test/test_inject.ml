@@ -9,20 +9,19 @@
    points, so every failure is a (sim seed, plan seed) pair that
    replays identically.
 
-   Fault semantics verified here:
-   - Park: a stalled thread delays nobody's completion; values are
-     conserved exactly.
-   - Die: a killed thread is a crashed thread.  Its in-flight value
-     appears AT MOST ONCE (helpers may complete a published request
-     of a dead peer; the claim CASes make double-completion
-     impossible), and each kill strands at most one value (a dequeuer
-     that linearized its ticket and then crashed).  Survivors always
-     complete, and the queue stays fully operational afterwards —
-     including cleanup, even when the victim died holding the cleanup
-     token. *)
+   Every storm is judged by the one conservation audit of
+   [Harness.Storm] (the rule [repro]'s storms apply): no value twice,
+   none outside its owner's committed prefix except a killed owner's
+   in-flight batch, and at most (dequeue-side kills x batch) committed
+   values missing.  So a parked storm conserves values exactly, a
+   helped dead enqueuer loses nothing, and each crashed dequeuer
+   strands at most its batch.  Survivors always complete, and the
+   queue stays fully operational afterwards — including cleanup, even
+   when the victim died holding the cleanup token. *)
 
 module Q = Simsched.Sim.Queue
 module Sim = Simsched.Sim
+module Storm = Harness.Storm
 
 let check = Alcotest.check
 
@@ -32,14 +31,32 @@ let run_ok ?max_steps ~seed fibers =
     Alcotest.failf "seed %d: scheduler step limit hit (livelock under faults?)" seed;
   stats
 
-(* Park as scheduler yields: a parked fiber is descheduled, letting
-   the scheduler run everyone else through the victim's stall
-   window. *)
-let sim_park () = Inject.set_park (fun n -> for _ = 1 to n do Sim.yield () done)
+(* The shared victim controller, with a park as scheduler yields: a
+   parked fiber is descheduled, letting the scheduler run everyone else
+   through the victim's stall window.  Only fibers for which [victim]
+   holds take faults; run it around [Sim.run] only. *)
+let storm ~victim plan f =
+  Storm.with_controller
+    ~park:(fun n ->
+      for _ = 1 to n do
+        Sim.yield ()
+      done)
+    ~victim:(fun () -> victim (Sim.current_fiber ()))
+    plan f
+
+let audit ~seed ?(batch = 1) ~ops ~committed ~outcomes values =
+  match (Storm.audit ~ops ~batch ~committed ~outcomes values).Storm.violations with
+  | [] -> ()
+  | vs -> Alcotest.failf "seed %d: %s" seed (String.concat "; " vs)
+
+(* [n] fibers, none killed yet: the victim's handler records its kill *)
+let ledger n = (Array.make n 0, Array.make n Storm.Completed)
 
 let drain q h =
   let rec go acc = match Q.dequeue q h with Some v -> go (v :: acc) | None -> acc in
   List.rev (go [])
+
+let parks points = List.fold_left (fun acc p -> acc + (Inject.stats p).Inject.parks) 0 points
 
 (* ------------------------------------------------------------------ *)
 (* Build matrix: which instantiations carry the injector              *)
@@ -93,51 +110,57 @@ let aggressive_queue () =
      reachable. *)
   Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 ()
 
+(* Interleaved enqueue/dequeue churn, [ops] pairs on fiber [i]:
+   phase-structured workloads never contend (each fiber finishes its
+   enqueues before any dequeuer can overtake a ticket), so slow paths,
+   helping and cleanup would go unexercised.  A kill ends the fiber and
+   retires its handle. *)
+let churn q h ~ops (committed, outcomes) got i () =
+  try
+    for k = 0 to ops - 1 do
+      Q.enqueue q h.(i) ((i * ops) + k);
+      committed.(i) <- k + 1;
+      match Q.dequeue q h.(i) with Some v -> got := v :: !got | None -> ()
+    done
+  with Inject.Killed p ->
+    outcomes.(i) <- Storm.Killed p;
+    Q.retire q h.(i)
+
 let test_park_storm cls () =
-  sim_park ();
-  Inject.reset_stats ();
   let points = Inject.points_of_class cls in
+  let fired = ref 0 in
   for seed = 1 to 150 do
     let plan =
       Inject.Plan.make ~park:6 ~arm_window:1 ~points ~seed:(Int64.of_int (seed * 7919)) ()
     in
+    let q = aggressive_queue () in
+    let h = Array.init 4 (fun _ -> Q.register q) in
+    let l = ledger 4 and got = ref [] in
     (* 2 victims of 4: only fibers 0 and 1 take faults *)
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () <= 1 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let q = aggressive_queue () in
-        let h = Array.init 4 (fun _ -> Q.register q) in
-        let got = ref [] in
-        (* interleaved enqueue/dequeue churn: phase-structured
-           workloads never contend (each fiber finishes its enqueues
-           before any dequeuer can overtake a ticket), so slow paths,
-           helping and cleanup would go unexercised *)
-        let actor i () =
-          for k = 1 to 4 do
-            Q.enqueue q h.(i) ((i * 10) + k);
-            match Q.dequeue q h.(i) with Some v -> got := v :: !got | None -> ()
-          done
-        in
-        ignore (run_ok ~seed [| actor 0; actor 1; actor 2; actor 3 |]);
-        let rest = drain q h.(0) in
-        let expect =
-          List.concat_map (fun i -> List.init 4 (fun k -> (i * 10) + k + 1)) [ 0; 1; 2; 3 ]
-        in
-        check
-          Alcotest.(list int)
-          (Printf.sprintf "%s seed %d: parked storm conserves values" (Inject.class_name cls) seed)
-          (List.sort compare expect)
-          (List.sort compare (!got @ rest)))
+    storm ~victim:(fun f -> f <= 1) plan (fun () ->
+        ignore (run_ok ~seed (Array.init 4 (churn q h ~ops:4 l got))));
+    fired := !fired + parks points;
+    audit ~seed ~ops:4 ~committed:(fst l) ~outcomes:(snd l) (!got @ drain q h.(0))
   done;
   (* The sweep must actually have exercised the class — a class whose
      points never fire would make this suite vacuous (e.g. after a
      refactor moves an injection site). *)
-  let fired =
-    List.fold_left (fun acc p -> acc + (Inject.stats p).Inject.parks) 0 points
-  in
-  if fired = 0 then
+  if !fired = 0 then
     Alcotest.failf "no %s park ever fired across the sweep: dead injection points?"
       (Inject.class_name cls)
+
+(* [rounds] of one [batch]-value enq_batch and one deq_batch on fiber
+   [i]; [committed] advances by whole batches. *)
+let batch_churn q h ~batch ~rounds (committed, outcomes) got i () =
+  try
+    for r = 0 to rounds - 1 do
+      Q.enq_batch q h.(i) (Array.init batch (fun j -> (i * batch * rounds) + (r * batch) + j));
+      committed.(i) <- (r + 1) * batch;
+      Array.iter (function Some v -> got := v :: !got | None -> ()) (Q.deq_batch q h.(i) batch)
+    done
+  with Inject.Killed p ->
+    outcomes.(i) <- Storm.Killed p;
+    Q.retire q h.(i)
 
 (* The generic storm churns single ops, so the batch windows need
    their own sweep: 4 fibers exchanging 3-value batches while two of
@@ -147,45 +170,21 @@ let test_park_storm cls () =
    per-cell fallback gives every survivor touching a reserved cell a
    wait-free way past it. *)
 let test_batch_park_storm () =
-  sim_park ();
-  Inject.reset_stats ();
   let points = Inject.points_of_class Inject.Batch in
+  let fired = ref 0 in
   for seed = 1 to 150 do
     let plan =
       Inject.Plan.make ~park:6 ~arm_window:1 ~points ~seed:(Int64.of_int (seed * 7919)) ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () <= 1 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let q = aggressive_queue () in
-        let h = Array.init 4 (fun _ -> Q.register q) in
-        let got = ref [] in
-        let actor i () =
-          for r = 0 to 1 do
-            Q.enq_batch q h.(i) (Array.init 3 (fun j -> (i * 100) + (r * 10) + j));
-            Array.iter
-              (function Some v -> got := v :: !got | None -> ())
-              (Q.deq_batch q h.(i) 3)
-          done
-        in
-        ignore (run_ok ~seed [| actor 0; actor 1; actor 2; actor 3 |]);
-        let rest = drain q h.(0) in
-        let expect =
-          List.concat_map
-            (fun i ->
-              List.concat_map (fun r -> List.init 3 (fun j -> (i * 100) + (r * 10) + j)) [ 0; 1 ])
-            [ 0; 1; 2; 3 ]
-        in
-        check
-          Alcotest.(list int)
-          (Printf.sprintf "batch seed %d: parked batch storm conserves values" seed)
-          (List.sort compare expect)
-          (List.sort compare (!got @ rest)))
+    let q = aggressive_queue () in
+    let h = Array.init 4 (fun _ -> Q.register q) in
+    let l = ledger 4 and got = ref [] in
+    storm ~victim:(fun f -> f <= 1) plan (fun () ->
+        ignore (run_ok ~seed (Array.init 4 (batch_churn q h ~batch:3 ~rounds:2 l got))));
+    fired := !fired + parks points;
+    audit ~seed ~batch:3 ~ops:6 ~committed:(fst l) ~outcomes:(snd l) (!got @ drain q h.(0))
   done;
-  let fired =
-    List.fold_left (fun acc p -> acc + (Inject.stats p).Inject.parks) 0 points
-  in
-  if fired = 0 then
+  if !fired = 0 then
     Alcotest.fail "no batch park ever fired across the sweep: dead injection points?"
 
 (* ------------------------------------------------------------------ *)
@@ -193,69 +192,20 @@ let test_batch_park_storm () =
    duplicate one, and survivors always finish                        *)
 
 let test_kill_storm () =
-  sim_park ();
   let total_kills = ref 0 in
   for seed = 1 to 400 do
-    Inject.reset_stats ();
     let plan = Inject.Plan.make ~lethal:true ~arm_window:2 ~seed:(Int64.of_int (seed * 31)) () in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let q = aggressive_queue () in
-        let h = Array.init 4 (fun _ -> Q.register q) in
-        let got = ref [] in
-        (* [venq] counts the victim's COMPLETED enqueues: a crash ends
-           its participation, so values it never attempted are not
-           "lost" — only its single in-flight value is in doubt *)
-        let venq = ref 0 in
-        let victim () =
-          try
-            for k = 1 to 4 do
-              Q.enqueue q h.(0) k;
-              venq := k;
-              match Q.dequeue q h.(0) with Some v -> got := v :: !got | None -> ()
-            done
-          with Inject.Killed _ -> Q.retire q h.(0)
-        in
-        let survivor i () =
-          for k = 1 to 4 do
-            Q.enqueue q h.(i) ((i * 10) + k);
-            match Q.dequeue q h.(i) with Some v -> got := v :: !got | None -> ()
-          done
-        in
-        ignore (run_ok ~seed [| victim; survivor 1; survivor 2; survivor 3 |]);
-        let all = !got @ drain q h.(1) in
-        let kills = (Inject.total_stats ()).Inject.kills in
-        total_kills := !total_kills + kills;
-        (* definitely enqueued: survivors' values + the victim's
-           completed enqueues.  The victim's next value (its in-flight
-           enqueue, if the kill landed there) may legitimately appear
-           — helpers can complete a dead peer's published request —
-           but at most once. *)
-        let definite =
-          List.init !venq (fun k -> k + 1)
-          @ List.concat_map (fun i -> List.init 4 (fun k -> (i * 10) + k + 1)) [ 1; 2; 3 ]
-        in
-        let optional = if !venq < 4 then [ !venq + 1 ] else [] in
-        let sorted = List.sort compare all in
-        let rec no_dup = function
-          | a :: (b :: _ as tl) ->
-            if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-            no_dup tl
-          | _ -> ()
-        in
-        no_dup sorted;
-        List.iter
-          (fun v ->
-            if not (List.mem v definite || List.mem v optional) then
-              Alcotest.failf "seed %d: alien value %d" seed v)
-          sorted;
-        let missing =
-          List.length (List.filter (fun v -> not (List.mem v sorted)) definite)
-        in
-        if missing > kills then
-          Alcotest.failf "seed %d: %d values missing but only %d kills (each kill strands <= 1)"
-            seed missing kills)
+    let q = aggressive_queue () in
+    let h = Array.init 4 (fun _ -> Q.register q) in
+    (* [committed] counts the victim's COMPLETED enqueues: a crash ends
+       its participation, so values it never attempted are not "lost"
+       — only its single in-flight value is in doubt (helpers can
+       complete a dead peer's published request, at most once) *)
+    let l = ledger 4 and got = ref [] in
+    storm ~victim:(fun f -> f = 0) plan (fun () ->
+        ignore (run_ok ~seed (Array.init 4 (churn q h ~ops:4 l got))));
+    total_kills := !total_kills + (Inject.total_stats ()).Inject.kills;
+    audit ~seed ~ops:4 ~committed:(fst l) ~outcomes:(snd l) (!got @ drain q h.(1))
   done;
   if !total_kills = 0 then
     Alcotest.fail "no kill ever fired across 400 seeds: lethal plans are dead code?"
@@ -265,87 +215,26 @@ let test_kill_storm () =
    written/claimed yet.  A dead batch enqueuer abandons k cells that
    dequeuers must be able to skip; a dead batch dequeuer burns k head
    tickets whose cells' values are stranded forever.  So the stranding
-   bound scales with the batch: missing <= kills * batch — and
-   duplication stays impossible (the per-cell claim CASes are
-   unchanged). *)
+   bound scales with the batch — and duplication stays impossible
+   (the per-cell claim CASes are unchanged).  The in-flight batch of a
+   killed enqueuer is never written past the injection point, but a
+   future refactor moving the point after partial writes would make
+   its values legitimately appear, at most once. *)
 let test_batch_kill_storm () =
-  sim_park ();
   let total_kills = ref 0 in
-  let batch = 3 in
-  let rounds = 3 in
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1
         ~points:[ Inject.Enq_batch_after_faa; Inject.Deq_batch_after_faa ]
         ~seed:(Int64.of_int (seed * 17)) ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let q = aggressive_queue () in
-        let h = Array.init 3 (fun _ -> Q.register q) in
-        let got = ref [] in
-        let committed = ref [] in
-        (* values of the batch in flight when the kill lands: reserved
-           cells are never written past the injection point, but a
-           future refactor moving the point after partial writes would
-           make them legitimately appear (at most once) *)
-        let in_flight = ref [] in
-        let victim () =
-          try
-            for r = 0 to rounds - 1 do
-              let vs = Array.init batch (fun j -> 100 + (r * 10) + j) in
-              in_flight := Array.to_list vs;
-              Q.enq_batch q h.(0) vs;
-              Array.iter (fun v -> committed := v :: !committed) vs;
-              in_flight := [];
-              Array.iter
-                (function Some v -> got := v :: !got | None -> ())
-                (Q.deq_batch q h.(0) batch)
-            done
-          with Inject.Killed _ -> Q.retire q h.(0)
-        in
-        let survivor i () =
-          for r = 0 to rounds - 1 do
-            Q.enq_batch q h.(i) (Array.init batch (fun j -> (i * 1000) + (r * 10) + j));
-            Array.iter
-              (function Some v -> got := v :: !got | None -> ())
-              (Q.deq_batch q h.(i) batch)
-          done
-        in
-        ignore (run_ok ~seed [| victim; survivor 1; survivor 2 |]);
-        let all = List.sort compare (!got @ drain q h.(1)) in
-        let kills = (Inject.total_stats ()).Inject.kills in
-        total_kills := !total_kills + kills;
-        let rec no_dup = function
-          | a :: (b :: _ as tl) ->
-            if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-            no_dup tl
-          | _ -> ()
-        in
-        no_dup all;
-        let definite =
-          !committed
-          @ List.concat_map
-              (fun i ->
-                List.concat_map
-                  (fun r -> List.init batch (fun j -> (i * 1000) + (r * 10) + j))
-                  (List.init rounds Fun.id))
-              [ 1; 2 ]
-        in
-        List.iter
-          (fun v ->
-            if not (List.mem v definite || List.mem v !in_flight) then
-              Alcotest.failf "seed %d: alien value %d" seed v)
-          all;
-        let missing =
-          List.length (List.filter (fun v -> not (List.mem v all)) definite)
-        in
-        if missing > kills * batch then
-          Alcotest.failf
-            "seed %d: %d values missing but %d kills x batch %d (each kill strands <= batch)"
-            seed missing kills batch)
+    let q = aggressive_queue () in
+    let h = Array.init 3 (fun _ -> Q.register q) in
+    let l = ledger 3 and got = ref [] in
+    storm ~victim:(fun f -> f = 0) plan (fun () ->
+        ignore (run_ok ~seed (Array.init 3 (batch_churn q h ~batch:3 ~rounds:3 l got))));
+    total_kills := !total_kills + (Inject.total_stats ()).Inject.kills;
+    audit ~seed ~batch:3 ~ops:9 ~committed:(fst l) ~outcomes:(snd l) (!got @ drain q h.(1))
   done;
   if !total_kills = 0 then
     Alcotest.fail "no batch kill ever fired across 300 seeds: lethal batch plans are dead code?"
@@ -370,69 +259,71 @@ let test_batch_kill_storm () =
      at [Seg_pool_release] may leak capacity (segments reset but
      never pushed) — documented as lost budget, never unsafety. *)
 
+let check_cap ~seed q cap =
+  if Q.allocated_segments q > cap then
+    Alcotest.failf "seed %d: %d segments allocated past cap %d" seed (Q.allocated_segments q) cap
+
+let check_footprint ~seed q cap =
+  if Q.live_segments q + Q.pooled_segments q > cap then
+    Alcotest.failf "seed %d: live+pooled %d+%d exceeds cap %d" seed (Q.live_segments q)
+      (Q.pooled_segments q) cap
+
+(* Dequeue until every producer is done and three polls in a row read
+   empty. *)
+let consume q h producers_done got () =
+  let idle = ref 0 in
+  while !producers_done < 2 || !idle < 3 do
+    match Q.dequeue q h with
+    | Some v ->
+      got := v :: !got;
+      idle := 0
+    | None -> incr idle
+  done
+
 (* 2-of-4 parked in the freelist windows: pure delay, so conservation
    must be exact and the cap invariant untouched. *)
 let test_pool_park_storm () =
-  sim_park ();
-  Inject.reset_stats ();
   let cap = 6 in
   let points = [ Inject.Seg_pool_acquire; Inject.Seg_pool_release ] in
+  let acquire_parks = ref 0 and release_parks = ref 0 in
   for seed = 1 to 300 do
     let plan =
       Inject.Plan.make ~park:6 ~arm_window:1 ~points ~seed:(Int64.of_int (seed * 433)) ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () <= 1 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 ~segment_cap:cap () in
-        let h = Array.init 4 (fun _ -> Q.register q) in
-        let got = ref [] in
-        let producers_done = ref 0 in
-        (* 12 values through 6 segments' worth of cells keeps the
-           budget exhausted: the park-prone producers really reach the
-           acquire poll *)
-        let producer i () =
-          for k = 1 to 6 do
-            Q.enqueue q h.(i) ((i * 10) + k);
-            if Q.allocated_segments q > cap then
-              Alcotest.failf "seed %d: %d segments allocated past cap %d" seed
-                (Q.allocated_segments q) cap
-          done;
-          (* a dequeue tail walks the park-prone fibers through
-             cleanup's release loop too *)
-          for _ = 1 to 3 do
-            match Q.dequeue q h.(i) with Some v -> got := v :: !got | None -> ()
-          done;
-          incr producers_done
-        in
-        let consumer i () =
-          let idle = ref 0 in
-          while !producers_done < 2 || !idle < 3 do
-            match Q.dequeue q h.(i) with
-            | Some v ->
-              got := v :: !got;
-              idle := 0
-            | None -> incr idle
-          done
-        in
-        ignore (run_ok ~seed [| producer 0; producer 1; consumer 2; consumer 3 |]);
-        let all = List.sort compare (!got @ drain q h.(2)) in
-        let expect =
-          List.sort compare (List.concat_map (fun i -> List.init 6 (fun k -> (i * 10) + k + 1)) [ 0; 1 ])
-        in
-        if all <> expect then
-          Alcotest.failf "seed %d: conservation broken under pool parks" seed;
-        if Q.live_segments q + Q.pooled_segments q > cap then
-          Alcotest.failf "seed %d: live+pooled %d+%d exceeds cap %d" seed (Q.live_segments q)
-            (Q.pooled_segments q) cap;
-        if Q.Internal.pool_length q <> Q.pooled_segments q then
-          Alcotest.failf "seed %d: pool length %d disagrees with counter %d" seed
-            (Q.Internal.pool_length q) (Q.pooled_segments q))
+    let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 ~segment_cap:cap () in
+    let h = Array.init 4 (fun _ -> Q.register q) in
+    let committed, outcomes = ledger 4 and got = ref [] in
+    let producers_done = ref 0 in
+    (* 12 values through 6 segments' worth of cells keeps the budget
+       exhausted: the park-prone producers really reach the acquire
+       poll *)
+    let producer i () =
+      for k = 0 to 5 do
+        Q.enqueue q h.(i) ((i * 6) + k);
+        committed.(i) <- k + 1;
+        check_cap ~seed q cap
+      done;
+      (* a dequeue tail walks the park-prone fibers through cleanup's
+         release loop too *)
+      for _ = 1 to 3 do
+        match Q.dequeue q h.(i) with Some v -> got := v :: !got | None -> ()
+      done;
+      incr producers_done
+    in
+    let consumer i = consume q h.(i) producers_done got in
+    storm ~victim:(fun f -> f <= 1) plan (fun () ->
+        ignore (run_ok ~seed [| producer 0; producer 1; consumer 2; consumer 3 |]));
+    acquire_parks := !acquire_parks + parks [ Inject.Seg_pool_acquire ];
+    release_parks := !release_parks + parks [ Inject.Seg_pool_release ];
+    audit ~seed ~ops:6 ~committed ~outcomes (!got @ drain q h.(2));
+    check_footprint ~seed q cap;
+    if Q.Internal.pool_length q <> Q.pooled_segments q then
+      Alcotest.failf "seed %d: pool length %d disagrees with counter %d" seed
+        (Q.Internal.pool_length q) (Q.pooled_segments q)
   done;
-  let parks p = (Inject.stats p).Inject.parks in
-  if parks Inject.Seg_pool_acquire = 0 then
+  if !acquire_parks = 0 then
     Alcotest.fail "no park at Seg_pool_acquire across 300 seeds: no cap pressure reached?";
-  if parks Inject.Seg_pool_release = 0 then
+  if !release_parks = 0 then
     Alcotest.fail "no park at Seg_pool_release across 300 seeds: cleanup never released?"
 
 (* Deaths in the freelist windows: a kill strands at most the
@@ -440,101 +331,67 @@ let test_pool_park_storm () =
    even when a crashed cleaner leaks its reset-but-unpushed
    segments. *)
 let test_pool_kill_storm () =
-  sim_park ();
   let cap = 8 in
   let acquire_kills = ref 0 in
   let release_kills = ref 0 in
   for seed = 1 to 400 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1
         ~points:[ Inject.Seg_pool_acquire; Inject.Seg_pool_release ]
         ~seed:(Int64.of_int ((seed * 131) + 7))
         ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 ~segment_cap:cap () in
-        let h = Array.init 4 (fun _ -> Q.register q) in
-        let got = ref [] in
-        let producers_done = ref 0 in
-        let venq = ref 0 in
-        let enq_count = ref 0 in
-        (* the victim enqueues first (arming the admission wait where
-           the acquire point now fires) and then dequeues a tail
-           (walking it through cleanup's release loop) *)
-        let victim () =
-          (try
-             for k = 1 to 6 do
-               Q.enqueue q h.(0) k;
-               venq := k;
-               incr enq_count
-             done;
-             for _ = 1 to 3 do
-               match Q.dequeue q h.(0) with Some v -> got := v :: !got | None -> ()
-             done
-           with Inject.Killed _ -> Q.retire q h.(0));
-          incr producers_done
-        in
-        let producer () =
-          for k = 1 to 6 do
-            Q.enqueue q h.(1) (10 + k);
-            incr enq_count;
-            if Q.allocated_segments q > cap then
-              Alcotest.failf "seed %d: %d segments allocated past cap %d" seed
-                (Q.allocated_segments q) cap
-          done;
-          incr producers_done
-        in
-        let consumer i () =
-          (* sleep through the fill so the admission line actually
-             backs up: a producer can only block once 8 net enqueues
-             are in ([enq_capacity] for this cap), at which point the
-             wake condition below has already released the drain *)
-          while !enq_count < 8 && !producers_done < 2 do
-            Sim.yield ()
-          done;
-          let idle = ref 0 in
-          while !producers_done < 2 || !idle < 3 do
-            match Q.dequeue q h.(i) with
-            | Some v ->
-              got := v :: !got;
-              idle := 0
-            | None -> incr idle
-          done
-        in
-        ignore (run_ok ~seed [| victim; producer; consumer 2; consumer 3 |]);
-        acquire_kills := !acquire_kills + (Inject.stats Inject.Seg_pool_acquire).Inject.kills;
-        release_kills := !release_kills + (Inject.stats Inject.Seg_pool_release).Inject.kills;
-        let kills = (Inject.total_stats ()).Inject.kills in
-        let all = !got @ drain q h.(2) in
-        let sorted = List.sort compare all in
-        let rec no_dup = function
-          | a :: (b :: _ as tl) ->
-            if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-            no_dup tl
-          | _ -> ()
-        in
-        no_dup sorted;
-        let definite = List.init !venq (fun k -> k + 1) @ List.init 6 (fun k -> 10 + k + 1) in
-        let optional = if !venq < 6 then [ !venq + 1 ] else [] in
-        List.iter
-          (fun v ->
-            if not (List.mem v definite || List.mem v optional) then
-              Alcotest.failf "seed %d: alien value %d" seed v)
-          sorted;
-        let missing =
-          List.length (List.filter (fun v -> not (List.mem v sorted)) definite)
-        in
-        if missing > kills then
-          Alcotest.failf "seed %d: %d values missing but only %d kills" seed missing kills;
-        if Q.live_segments q + Q.pooled_segments q > cap then
-          Alcotest.failf "seed %d: live+pooled %d+%d exceeds cap %d" seed (Q.live_segments q)
-            (Q.pooled_segments q) cap;
-        if Q.pooled_segments q > Q.Internal.pool_limit q then
-          Alcotest.failf "seed %d: pool counter %d past its limit %d" seed
-            (Q.pooled_segments q) (Q.Internal.pool_limit q))
+    let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 ~segment_cap:cap () in
+    let h = Array.init 4 (fun _ -> Q.register q) in
+    let committed, outcomes = ledger 4 and got = ref [] in
+    let producers_done = ref 0 in
+    let enq_count = ref 0 in
+    (* the victim enqueues first (arming the admission wait where the
+       acquire point now fires) and then dequeues a tail (walking it
+       through cleanup's release loop) *)
+    let victim () =
+      (try
+         for k = 0 to 5 do
+           Q.enqueue q h.(0) k;
+           committed.(0) <- k + 1;
+           incr enq_count
+         done;
+         for _ = 1 to 3 do
+           match Q.dequeue q h.(0) with Some v -> got := v :: !got | None -> ()
+         done
+       with Inject.Killed p ->
+         outcomes.(0) <- Storm.Killed p;
+         Q.retire q h.(0));
+      incr producers_done
+    in
+    let producer () =
+      for k = 0 to 5 do
+        Q.enqueue q h.(1) (6 + k);
+        committed.(1) <- k + 1;
+        incr enq_count;
+        check_cap ~seed q cap
+      done;
+      incr producers_done
+    in
+    let consumer i () =
+      (* sleep through the fill so the admission line actually backs
+         up: a producer can only block once 8 net enqueues are in
+         ([enq_capacity] for this cap), at which point the wake
+         condition below has already released the drain *)
+      while !enq_count < 8 && !producers_done < 2 do
+        Sim.yield ()
+      done;
+      consume q h.(i) producers_done got ()
+    in
+    storm ~victim:(fun f -> f = 0) plan (fun () ->
+        ignore (run_ok ~seed [| victim; producer; consumer 2; consumer 3 |]));
+    acquire_kills := !acquire_kills + (Inject.stats Inject.Seg_pool_acquire).Inject.kills;
+    release_kills := !release_kills + (Inject.stats Inject.Seg_pool_release).Inject.kills;
+    audit ~seed ~ops:6 ~committed ~outcomes (!got @ drain q h.(2));
+    check_footprint ~seed q cap;
+    if Q.pooled_segments q > Q.Internal.pool_limit q then
+      Alcotest.failf "seed %d: pool counter %d past its limit %d" seed (Q.pooled_segments q)
+        (Q.Internal.pool_limit q)
   done;
   if !acquire_kills = 0 then
     Alcotest.fail "no kill at Seg_pool_acquire across 400 seeds: storm is dead code?";
@@ -542,131 +399,99 @@ let test_pool_kill_storm () =
     Alcotest.fail "no kill at Seg_pool_release across 400 seeds: storm is dead code?"
 
 (* A dead slow-path enqueuer's published request is completed by
-   helpers: the value it announced still flows to a dequeuer. *)
+   helpers: the value it announced still flows to a dequeuer, and a
+   kill there (an enqueue-side point) may strand nothing. *)
 let test_helping_completes_dead_enqueuer () =
-  sim_park ();
   let recovered = ref 0 in
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Enq_slow_published ]
         ~seed:(Int64.of_int seed) ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 () in
-        let h = Array.init 3 (fun _ -> Q.register q) in
-        let got = ref [] in
-        (* churn on all fibers so the victim's fast-path CAS actually
-           loses cells and enters the slow path; the kill lands right
-           after its request is published *)
-        let churn i base () =
-          try
-            for k = 1 to 6 do
-              Q.enqueue q h.(i) (base + k);
-              match Q.dequeue q h.(i) with Some v -> got := v :: !got | None -> ()
-            done
-          with Inject.Killed _ -> ()
-        in
-        ignore (run_ok ~seed [| churn 0 100; churn 1 10; churn 2 20 |]);
-        (* victim is dead; its handle must not pin anything *)
-        Q.retire q h.(0);
-        let all = List.sort compare (!got @ drain q h.(1)) in
-        (* survivors die with nobody: all their values flow through *)
-        List.iter
-          (fun v ->
-            if not (List.mem v all) then
-              Alcotest.failf "seed %d: survivor value %d lost to a dead enqueuer" seed v)
-          (List.init 6 (fun k -> 10 + k + 1) @ List.init 6 (fun k -> 20 + k + 1));
-        (* the dead enqueuer's values appear at most once each *)
-        let rec dups = function
-          | a :: (b :: _ as tl) ->
-            if a = b then Alcotest.failf "seed %d: duplicated %d" seed a;
-            dups tl
-          | _ -> ()
-        in
-        dups all;
-        let kills = (Inject.total_stats ()).Inject.kills in
-        if kills > 0 && List.exists (fun v -> v > 100) all then incr recovered)
+    let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 () in
+    let h = Array.init 3 (fun _ -> Q.register q) in
+    let l = ledger 3 and got = ref [] in
+    (* churn on all fibers so the victim's fast-path CAS actually loses
+       cells and enters the slow path; the kill lands right after its
+       request is published *)
+    storm ~victim:(fun f -> f = 0) plan (fun () ->
+        ignore (run_ok ~seed (Array.init 3 (churn q h ~ops:6 l got))));
+    let all = !got @ drain q h.(1) in
+    audit ~seed ~ops:6 ~committed:(fst l) ~outcomes:(snd l) all;
+    let kills = (Inject.total_stats ()).Inject.kills in
+    if kills > 0 && List.exists (fun v -> v < 6) all then incr recovered
   done;
   (* helping is the mechanism under test: across the sweep, some dead
      enqueuer's published value must have been completed by a peer *)
   if !recovered = 0 then
     Alcotest.fail "no published request of a dead enqueuer was ever helped to completion"
 
+(* One role-split storm: fibers [0, producers) enqueue [ops] values
+   each, the rest dequeue [deqs] times each; [victim] fibers take the
+   plan's faults.  A killed fiber records its kill and retires its
+   handle.  Audits the storm after draining through the last
+   consumer's handle, and returns that handle. *)
+let role_storm ~seed ~producers ~consumers ~ops ~deqs ~victim plan ~register ~enqueue ~dequeue
+    ~retire =
+  let n = producers + consumers in
+  let h = Array.init n (fun _ -> register ()) in
+  let committed, outcomes = ledger n and got = ref [] in
+  let fiber i () =
+    try
+      if i < producers then
+        for k = 0 to ops - 1 do
+          enqueue h.(i) ((i * ops) + k);
+          committed.(i) <- k + 1
+        done
+      else
+        for _ = 1 to deqs do
+          match dequeue h.(i) with Some v -> got := v :: !got | None -> ()
+        done
+    with Inject.Killed p ->
+      outcomes.(i) <- Storm.Killed p;
+      retire h.(i)
+  in
+  storm ~victim plan (fun () -> ignore (run_ok ~seed (Array.init n fiber)));
+  let rec drain acc = match dequeue h.(n - 1) with Some v -> drain (v :: acc) | None -> acc in
+  audit ~seed ~ops ~committed ~outcomes (!got @ drain []);
+  h.(n - 1)
+
 let test_dead_dequeuer_strands_at_most_one () =
-  sim_park ();
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1
         ~points:[ Inject.Deq_fast_after_faa; Inject.Deq_slow_published ]
         ~seed:(Int64.of_int seed) ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 () in
-        let h = Array.init 3 (fun _ -> Q.register q) in
-        let got = ref [] in
-        let victim () =
-          try
-            for _ = 1 to 4 do
-              match Q.dequeue q h.(0) with Some v -> got := v :: !got | None -> ()
-            done
-          with Inject.Killed _ -> Q.retire q h.(0)
-        in
-        let producer () =
-          for k = 1 to 8 do
-            Q.enqueue q h.(1) k
-          done
-        in
-        let consumer () =
-          for _ = 1 to 4 do
-            match Q.dequeue q h.(2) with Some v -> got := v :: !got | None -> ()
-          done
-        in
-        ignore (run_ok ~seed [| victim; producer; consumer |]);
-        let all = List.sort compare (!got @ drain q h.(1)) in
-        let kills = (Inject.total_stats ()).Inject.kills in
-        let missing = 8 - List.length all in
-        if missing > kills then
-          Alcotest.failf "seed %d: %d values missing, %d kills" seed missing kills;
-        let rec dups = function
-          | a :: (b :: _ as tl) ->
-            if a = b then Alcotest.failf "seed %d: duplicated %d" seed a;
-            dups tl
-          | _ -> ()
-        in
-        dups all)
+    let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 () in
+    (* one producer, two consumers; consumer fiber 1 is the victim *)
+    ignore
+      (role_storm ~seed ~producers:1 ~consumers:2 ~ops:8 ~deqs:4 ~victim:(fun f -> f = 1) plan
+         ~register:(fun () -> Q.register q)
+         ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q))
   done
 
 (* Dying while holding the cleanup token must not wedge reclamation:
    the token is restored on the way out (Fun.protect in [cleanup]),
    so later cleanups still run. *)
 let test_cleanup_token_death_recovers () =
-  sim_park ();
   let exercised = ref 0 in
   for seed = 1 to 200 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Cleanup_token_held ]
         ~seed:(Int64.of_int seed) ()
     in
     let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 () in
     let h = Array.init 3 (fun _ -> Q.register q) in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let churn i () =
-          try
-            for k = 1 to 8 do
-              Q.enqueue q h.(i) ((i * 100) + k);
-              ignore (Q.dequeue q h.(i))
-            done
-          with Inject.Killed _ -> Q.retire q h.(0)
-        in
+    let churn i () =
+      try
+        for k = 1 to 8 do
+          Q.enqueue q h.(i) ((i * 100) + k);
+          ignore (Q.dequeue q h.(i))
+        done
+      with Inject.Killed _ -> Q.retire q h.(0)
+    in
+    storm ~victim:(fun f -> f = 0) plan (fun () ->
         ignore (run_ok ~seed [| churn 0; churn 1; churn 2 |]));
     if (Inject.total_stats ()).Inject.kills > 0 then begin
       incr exercised;
@@ -694,204 +519,76 @@ let test_cleanup_token_death_recovers () =
    consumer parked on a held ticket delays nobody; values are
    conserved exactly. *)
 let test_topology_park_storm () =
-  sim_park ();
-  Inject.reset_stats ();
   let points = Inject.points_of_class Inject.Topology in
   let plan seed = Inject.Plan.make ~park:6 ~arm_window:1 ~points ~seed:(Int64.of_int seed) () in
+  let fired = ref 0 in
   for seed = 1 to 100 do
     (* SPSC: producer fiber 0 (victim), consumer fiber 1 *)
     (let module Q = Simsched.Sim.Spsc in
      let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
-     let hp = Q.register q and hc = Q.register q in
-     let got = ref [] in
-     Inject.with_controller
-       (fun p ->
-         if Sim.current_fiber () = 0 then Inject.Plan.decide (plan (seed * 7919)) p
-         else Inject.Continue)
-       (fun () ->
-         ignore
-           (run_ok ~seed
-              [|
-                (fun () ->
-                  for i = 1 to 8 do
-                    Q.enqueue q hp i
-                  done);
-                (fun () ->
-                  for _ = 1 to 8 do
-                    match Q.dequeue q hc with Some v -> got := v :: !got | None -> ()
-                  done);
-              |]));
-     let rec drain acc = match Q.dequeue q hc with Some v -> drain (v :: acc) | None -> acc in
-     check
-       Alcotest.(list int)
-       (Printf.sprintf "spsc seed %d: parked storm conserves values" seed)
-       (List.init 8 (fun i -> i + 1))
-       (List.sort compare (!got @ drain [])));
+     ignore
+       (role_storm ~seed ~producers:1 ~consumers:1 ~ops:8 ~deqs:8 ~victim:(fun f -> f = 0)
+          (plan (seed * 7919))
+          ~register:(fun () -> Q.register q)
+          ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q));
+     fired := !fired + parks points);
     (* MPSC: producers 0 (victim) and 1, consumer 2 *)
     (let module Q = Simsched.Sim.Mpsc in
      let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
-     let h = Array.init 3 (fun _ -> Q.register q) in
-     let got = ref [] in
-     Inject.with_controller
-       (fun p ->
-         if Sim.current_fiber () = 0 then Inject.Plan.decide (plan (seed * 31)) p
-         else Inject.Continue)
-       (fun () ->
-         let producer t () =
-           for i = 1 to 4 do
-             Q.enqueue q h.(t) ((t * 100) + i)
-           done
-         in
-         let consumer () =
-           for _ = 1 to 8 do
-             match Q.dequeue q h.(2) with Some v -> got := v :: !got | None -> ()
-           done
-         in
-         ignore (run_ok ~seed [| producer 0; producer 1; consumer |]));
-     let rec drain acc =
-       match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc
-     in
-     check
-       Alcotest.(list int)
-       (Printf.sprintf "mpsc seed %d: parked storm conserves values" seed)
-       (List.sort compare (List.init 4 (fun i -> i + 1) @ List.init 4 (fun i -> 100 + i + 1)))
-       (List.sort compare (!got @ drain [])));
+     ignore
+       (role_storm ~seed ~producers:2 ~consumers:1 ~ops:4 ~deqs:8 ~victim:(fun f -> f = 0)
+          (plan (seed * 31))
+          ~register:(fun () -> Q.register q)
+          ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q));
+     fired := !fired + parks points);
     (* SPMC: producer 0, consumers 1 (victim) and 2 *)
     (let module Q = Simsched.Sim.Spmc in
      let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
-     let h = Array.init 3 (fun _ -> Q.register q) in
-     let got = ref [] in
-     Inject.with_controller
-       (fun p ->
-         if Sim.current_fiber () = 1 then Inject.Plan.decide (plan (seed * 17)) p
-         else Inject.Continue)
-       (fun () ->
-         let consumer t () =
-           for _ = 1 to 4 do
-             match Q.dequeue q h.(t) with Some v -> got := v :: !got | None -> ()
-           done
-         in
-         ignore
-           (run_ok ~seed
-              [|
-                (fun () ->
-                  for i = 1 to 8 do
-                    Q.enqueue q h.(0) i
-                  done);
-                consumer 1;
-                consumer 2;
-              |]));
-     let rec drain acc =
-       match Q.dequeue q h.(1) with Some v -> drain (v :: acc) | None -> acc
-     in
-     check
-       Alcotest.(list int)
-       (Printf.sprintf "spmc seed %d: parked storm conserves values" seed)
-       (List.init 8 (fun i -> i + 1))
-       (List.sort compare (!got @ drain [])));
+     ignore
+       (role_storm ~seed ~producers:1 ~consumers:2 ~ops:8 ~deqs:4 ~victim:(fun f -> f = 1)
+          (plan (seed * 17))
+          ~register:(fun () -> Q.register q)
+          ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q));
+     fired := !fired + parks points);
     (* Adaptive: two producers force a switch mid-stream; a park in
        the drain window must not wedge the commit *)
-    (let module Q = Simsched.Sim.Adaptive_queue in
-     let q = Q.create ~patience:2 ~segment_shift:1 ~max_garbage:2 () in
-     let h = Array.init 3 (fun _ -> Q.register q) in
-     let got = ref [] in
-     Inject.with_controller
-       (fun p ->
-         if Sim.current_fiber () <= 1 then Inject.Plan.decide (plan (seed * 13)) p
-         else Inject.Continue)
-       (fun () ->
-         let producer t () =
-           for i = 1 to 4 do
-             Q.enqueue q h.(t) ((t * 100) + i)
-           done
-         in
-         let consumer () =
-           for _ = 1 to 8 do
-             match Q.dequeue q h.(2) with Some v -> got := v :: !got | None -> ()
-           done
-         in
-         ignore (run_ok ~seed [| producer 0; producer 1; consumer |]));
-     let rec drain acc =
-       match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc
-     in
-     check
-       Alcotest.(list int)
-       (Printf.sprintf "adaptive seed %d: parked storm conserves values" seed)
-       (List.sort compare (List.init 4 (fun i -> i + 1) @ List.init 4 (fun i -> 100 + i + 1)))
-       (List.sort compare (!got @ drain [])))
+    let module Q = Simsched.Sim.Adaptive_queue in
+    let q = Q.create ~patience:2 ~segment_shift:1 ~max_garbage:2 () in
+    ignore
+      (role_storm ~seed ~producers:2 ~consumers:1 ~ops:4 ~deqs:8 ~victim:(fun f -> f <= 1)
+         (plan (seed * 13))
+         ~register:(fun () -> Q.register q)
+         ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q));
+    fired := !fired + parks points
   done;
-  let fired =
-    List.fold_left (fun acc p -> acc + (Inject.stats p).Inject.parks) 0 points
-  in
-  if fired = 0 then
+  if !fired = 0 then
     Alcotest.fail "no topology park ever fired across the sweep: dead injection points?"
 
 (* A producer killed in the MPSC hole window (ticket FAA'd, cell
    never written) leaves a PERMANENT hole.  The consumer must skip it
    forever without stalling: every other value still flows, nothing
-   duplicates, and at most the one in-flight value per kill is lost. *)
+   duplicates, and only the victim's in-flight value is in doubt. *)
 let test_topo_dead_producer_leaves_hole () =
-  sim_park ();
   let total_kills = ref 0 in
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Topo_enq_pending ]
         ~seed:(Int64.of_int (seed * 23)) ()
     in
     let module Q = Simsched.Sim.Mpsc in
     let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
-    let h = Array.init 3 (fun _ -> Q.register q) in
-    let got = ref [] in
-    let venq = ref 0 in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let victim () =
-          try
-            for k = 1 to 4 do
-              Q.enqueue q h.(0) (100 + k);
-              venq := k
-            done
-          with Inject.Killed _ -> Q.retire q h.(0)
-        in
-        let producer () =
-          for k = 1 to 4 do
-            Q.enqueue q h.(1) (10 + k)
-          done
-        in
-        let consumer () =
-          for _ = 1 to 8 do
-            match Q.dequeue q h.(2) with Some v -> got := v :: !got | None -> ()
-          done
-        in
-        ignore (run_ok ~seed [| victim; producer; consumer |]));
-    let rec drain acc = match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc in
-    let all = List.sort compare (!got @ drain []) in
-    let kills = (Inject.total_stats ()).Inject.kills in
-    total_kills := !total_kills + kills;
-    let rec no_dup = function
-      | a :: (b :: _ as tl) ->
-        if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-        no_dup tl
-      | _ -> ()
+    let hc =
+      role_storm ~seed ~producers:2 ~consumers:1 ~ops:4 ~deqs:8 ~victim:(fun f -> f = 0) plan
+        ~register:(fun () -> Q.register q)
+        ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q)
     in
-    no_dup all;
-    let definite = List.init !venq (fun k -> 100 + k + 1) @ List.init 4 (fun k -> 10 + k + 1) in
-    let optional = if !venq < 4 then [ 100 + !venq + 1 ] else [] in
-    List.iter
-      (fun v ->
-        if not (List.mem v definite || List.mem v optional) then
-          Alcotest.failf "seed %d: alien value %d" seed v)
-      all;
-    let missing = List.length (List.filter (fun v -> not (List.mem v all)) definite) in
-    if missing > kills then
-      Alcotest.failf "seed %d: %d values missing but only %d kills" seed missing kills;
+    total_kills := !total_kills + (Inject.total_stats ()).Inject.kills;
     (* the permanent hole must not wedge later traffic *)
-    Q.enqueue q h.(1) 999;
-    (match Q.dequeue q h.(2) with
+    let hp = Q.register q in
+    Q.enqueue q hp 999;
+    match Q.dequeue q hc with
     | Some 999 -> ()
-    | _ -> Alcotest.failf "seed %d: queue wedged behind a dead producer's hole" seed)
+    | _ -> Alcotest.failf "seed %d: queue wedged behind a dead producer's hole" seed
   done;
   if !total_kills = 0 then
     Alcotest.fail "no hole-window kill ever fired: lethal topology plans are dead code?"
@@ -901,209 +598,103 @@ let test_topo_dead_producer_leaves_hole () =
    most that one, and the ticket's segment pin only costs memory,
    never progress. *)
 let test_topo_dead_ticket_strands_at_most_one () =
-  sim_park ();
   let total_kills = ref 0 in
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Topo_deq_pending ]
         ~seed:(Int64.of_int (seed * 29)) ()
     in
     let module Q = Simsched.Sim.Spmc in
     let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
-    let h = Array.init 3 (fun _ -> Q.register q) in
-    let got = ref [] in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let victim () =
-          try
-            for _ = 1 to 4 do
-              match Q.dequeue q h.(0) with Some v -> got := v :: !got | None -> ()
-            done
-          with Inject.Killed _ -> Q.retire q h.(0)
-        in
-        let producer () =
-          for k = 1 to 8 do
-            Q.enqueue q h.(1) k
-          done
-        in
-        let consumer () =
-          for _ = 1 to 4 do
-            match Q.dequeue q h.(2) with Some v -> got := v :: !got | None -> ()
-          done
-        in
-        ignore (run_ok ~seed [| victim; producer; consumer |]));
-    let rec drain acc = match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc in
-    let all = List.sort compare (!got @ drain []) in
-    let kills = (Inject.total_stats ()).Inject.kills in
-    total_kills := !total_kills + kills;
-    let rec no_dup = function
-      | a :: (b :: _ as tl) ->
-        if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-        no_dup tl
-      | _ -> ()
-    in
-    no_dup all;
-    let missing = 8 - List.length all in
-    if missing > kills then
-      Alcotest.failf "seed %d: %d values missing but only %d kills (each strands <= 1)" seed
-        missing kills
+    ignore
+      (role_storm ~seed ~producers:1 ~consumers:2 ~ops:8 ~deqs:4 ~victim:(fun f -> f = 1) plan
+         ~register:(fun () -> Q.register q)
+         ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q));
+    total_kills := !total_kills + (Inject.total_stats ()).Inject.kills
   done;
   if !total_kills = 0 then
     Alcotest.fail "no ticket-window kill ever fired: lethal topology plans are dead code?"
 
 (* Death in the adaptive switch drain: the kill is absorbed until the
    switch commits ("die late"), so a crashed switcher can never leave
-   the queue wedged mid-mode.  Survivors finish, conservation holds
-   up to one in-flight value per kill, and the queue stays fully
-   operational on the new backend. *)
+   the queue wedged mid-mode.  Survivors finish, a killed producer's
+   in-flight value may land (the enqueue itself completes before the
+   kill is re-raised), and the queue stays fully operational on the
+   new backend. *)
 let test_topo_switch_death_recovers () =
-  sim_park ();
   let total_kills = ref 0 in
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Topo_switch_draining ]
         ~seed:(Int64.of_int (seed * 37)) ()
     in
     let module Q = Simsched.Sim.Adaptive_queue in
     let q = Q.create ~patience:2 ~segment_shift:1 ~max_garbage:2 () in
-    let h = Array.init 3 (fun _ -> Q.register q) in
-    let got = ref [] in
-    let venq = [| 0; 0 |] in
-    Inject.with_controller
-      (fun p ->
-        if Sim.current_fiber () <= 1 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        (* both producers are victims: whichever one performs the
-           spsc->mpsc switch can die in the drain window *)
-        let producer t () =
-          try
-            for i = 1 to 4 do
-              Q.enqueue q h.(t) ((t * 100) + i);
-              venq.(t) <- i
-            done
-          with Inject.Killed _ -> Q.retire q h.(t)
-        in
-        let consumer () =
-          for _ = 1 to 8 do
-            match Q.dequeue q h.(2) with Some v -> got := v :: !got | None -> ()
-          done
-        in
-        ignore (run_ok ~seed [| producer 0; producer 1; consumer |]));
-    let rec drain acc = match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc in
-    let all = List.sort compare (!got @ drain []) in
-    let kills = (Inject.total_stats ()).Inject.kills in
-    total_kills := !total_kills + kills;
-    let rec no_dup = function
-      | a :: (b :: _ as tl) ->
-        if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-        no_dup tl
-      | _ -> ()
+    (* both producers are victims: whichever one performs the
+       spsc->mpsc switch can die in the drain window *)
+    let hc =
+      role_storm ~seed ~producers:2 ~consumers:1 ~ops:4 ~deqs:8 ~victim:(fun f -> f <= 1) plan
+        ~register:(fun () -> Q.register q)
+        ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q)
     in
-    no_dup all;
-    (* completed enqueues are definite; the in-flight value of a kill
-       in the drain window is "die late": absorbed until the switch
-       commits, so the enqueue itself lands and the value may appear
-       once even though the producer never saw it succeed *)
-    let definite =
-      List.init venq.(0) (fun i -> i + 1) @ List.init venq.(1) (fun i -> 100 + i + 1)
-    in
-    let optional =
-      (if venq.(0) < 4 then [ venq.(0) + 1 ] else [])
-      @ if venq.(1) < 4 then [ 100 + venq.(1) + 1 ] else []
-    in
-    List.iter
-      (fun v ->
-        if not (List.mem v definite || List.mem v optional) then
-          Alcotest.failf "seed %d: alien value %d" seed v)
-      all;
-    let missing = List.length (List.filter (fun v -> not (List.mem v all)) definite) in
-    if missing > kills then
-      Alcotest.failf "seed %d: %d completed values missing but only %d kills" seed missing kills;
+    total_kills := !total_kills + (Inject.total_stats ()).Inject.kills;
     (* the switch committed (or was never needed): the queue works *)
-    Q.enqueue q h.(2) 999;
-    (match Q.dequeue q h.(2) with
+    Q.enqueue q hc 999;
+    match Q.dequeue q hc with
     | Some 999 -> ()
-    | _ -> Alcotest.failf "seed %d: queue wedged after switch-window death" seed)
+    | _ -> Alcotest.failf "seed %d: queue wedged after switch-window death" seed
   done;
   if !total_kills = 0 then
     Alcotest.fail "no switch-drain kill ever fired: lethal topology plans are dead code?"
 
+(* The real-domain storms run [repro]'s own runner and audit: 4
+   domains, the first 2 victims, a park plan then a kill plan, each on
+   a fresh subject. *)
+let real_storm make =
+  List.iter
+    (fun (seed, kill) ->
+      let r =
+        Storm.run (make ()) Storm.Pairs ~domains:4 ~ops:2_000
+          { Storm.seed; park = 50; kill; victims = Some 2 }
+      in
+      match Storm.violations r with
+      | [] -> ()
+      | vs -> Alcotest.failf "seed %d (kill=%b): %s" seed kill (String.concat "; " vs))
+
 (* The storm build of the adaptive family on real domains: hardware
-   scheduling instead of the sim, park and kill plans armed. *)
+   scheduling instead of the sim.  The all-pairs storm degrades it to
+   the general backend; the queue must still be consistent there. *)
 let test_topo_real_storm_smoke () =
   let module W = Topology.Adaptive_inject in
-  let run_storm ~lethal ~seed =
-    Inject.reset_stats ();
-    Inject.set_park (fun n -> Unix.sleepf (float_of_int n *. 1e-7));
-    let plan =
-      Inject.Plan.make ~park:50 ~lethal
-        ~points:(Inject.points_of_class Inject.Topology)
-        ~seed ()
-    in
-    let is_victim = Domain.DLS.new_key (fun () -> false) in
-    let q = W.create ~segment_shift:2 ~max_garbage:2 () in
-    let ops = 2_000 in
-    let completed = Array.make 4 false in
-    Inject.with_controller
-      (fun p -> if Domain.DLS.get is_victim then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let worker d () =
-          if d < 2 then Domain.DLS.set is_victim true;
+  real_storm
+    (fun () ->
+      let q = W.create ~segment_shift:2 ~max_garbage:2 () in
+      Storm.subject (fun () ->
           let h = W.register q in
-          Fun.protect ~finally:(fun () -> W.retire q h) @@ fun () ->
-          try
-            for i = 1 to ops do
-              W.enqueue q h ((d * ops) + i);
-              ignore (W.dequeue q h)
-            done;
-            completed.(d) <- true
-          with Inject.Killed _ -> ()
-        in
-        let ds = List.init 4 (fun d -> Domain.spawn (worker d)) in
-        List.iter Domain.join ds);
-    Array.iteri
-      (fun d ok ->
-        if (not ok) && (d >= 2 || not lethal) then
-          Alcotest.failf "domain %d failed to complete (lethal=%b)" d lethal)
-      completed;
-    (* the all-pairs storm degraded it to the general backend; the
-       queue must still be consistent there *)
-    let h = W.register q in
-    let rec drain n = match W.dequeue q h with Some _ -> drain (n + 1) | None -> n in
-    ignore (drain 0);
-    W.retire q h
-  in
-  run_storm ~lethal:false ~seed:21L;
-  run_storm ~lethal:true ~seed:22L
+          Storm.single ~enqueue:(W.enqueue q h) ~dequeue_or:(W.dequeue_or q h)
+            ~retire:(fun () -> W.retire q h)))
+    [ (21, false); (22, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: one (sim seed, plan seed) pair is one storm           *)
 
 let storm_trace ~sim_seed ~plan_seed =
-  sim_park ();
-  Inject.reset_stats ();
   let plan = Inject.Plan.make ~park:6 ~arm_window:2 ~seed:(Int64.of_int plan_seed) () in
   let trace = ref [] in
-  Inject.with_controller
-    (fun p -> if Sim.current_fiber () <= 1 then Inject.Plan.decide plan p else Inject.Continue)
-    (fun () ->
-      let q = aggressive_queue () in
-      let h = Array.init 4 (fun _ -> Q.register q) in
-      let actor i () =
-        for k = 1 to 4 do
-          Q.enqueue q h.(i) ((i * 10) + k)
-        done;
-        for _ = 1 to 4 do
-          match Q.dequeue q h.(i) with
-          | Some v -> trace := v :: !trace
-          | None -> trace := -1 :: !trace
-        done
-      in
-      ignore (run_ok ~seed:sim_seed [| actor 0; actor 1; actor 2; actor 3 |]);
-      trace := !trace @ drain q h.(0));
+  let q = aggressive_queue () in
+  let h = Array.init 4 (fun _ -> Q.register q) in
+  let actor i () =
+    for k = 1 to 4 do
+      Q.enqueue q h.(i) ((i * 10) + k)
+    done;
+    for _ = 1 to 4 do
+      match Q.dequeue q h.(i) with
+      | Some v -> trace := v :: !trace
+      | None -> trace := -1 :: !trace
+    done
+  in
+  storm ~victim:(fun f -> f <= 1) plan (fun () ->
+      ignore (run_ok ~seed:sim_seed [| actor 0; actor 1; actor 2; actor 3 |]));
   let per_point =
     List.map
       (fun p ->
@@ -1111,7 +702,7 @@ let storm_trace ~sim_seed ~plan_seed =
         (Inject.point_name p, s.Inject.hits, s.Inject.parks, s.Inject.kills))
       Inject.all_points
   in
-  (List.rev !trace, per_point)
+  (List.rev !trace @ drain q h.(0), per_point)
 
 let test_same_seed_same_storm () =
   for sim_seed = 1 to 40 do
@@ -1125,42 +716,14 @@ let test_same_seed_same_storm () =
 
 let test_real_storm_smoke () =
   let module W = Wfq.Wfqueue_inject in
-  let run_storm ~lethal ~seed =
-    Inject.reset_stats ();
-    Inject.set_park (fun n -> Unix.sleepf (float_of_int n *. 1e-7));
-    let plan = Inject.Plan.make ~park:50 ~lethal ~seed () in
-    let is_victim = Domain.DLS.new_key (fun () -> false) in
-    let q = W.create ~patience:1 ~segment_shift:2 ~max_garbage:2 () in
-    let ops = 2_000 in
-    let completed = Array.make 4 false in
-    Inject.with_controller
-      (fun p -> if Domain.DLS.get is_victim then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let worker d () =
-          if d < 2 then Domain.DLS.set is_victim true;
+  real_storm
+    (fun () ->
+      let q = W.create ~patience:1 ~segment_shift:2 ~max_garbage:2 () in
+      Storm.subject (fun () ->
           let h = W.register q in
-          Fun.protect ~finally:(fun () -> W.retire q h) @@ fun () ->
-          try
-            for i = 1 to ops do
-              W.enqueue q h ((d * ops) + i);
-              ignore (W.dequeue q h)
-            done;
-            completed.(d) <- true
-          with Inject.Killed _ -> ()
-        in
-        let ds = List.init 4 (fun d -> Domain.spawn (worker d)) in
-        List.iter Domain.join ds);
-    Array.iteri
-      (fun d ok ->
-        if (not ok) && (d >= 2 || not lethal) then
-          Alcotest.failf "domain %d failed to complete (lethal=%b)" d lethal)
-      completed;
-    (* queue still consistent after the storm *)
-    let rec drain n = match W.pop q with Some _ -> drain (n + 1) | None -> n in
-    ignore (drain 0)
-  in
-  run_storm ~lethal:false ~seed:11L;
-  run_storm ~lethal:true ~seed:12L
+          Storm.single ~enqueue:(W.enqueue q h) ~dequeue_or:(W.dequeue_or q h)
+            ~retire:(fun () -> W.retire q h)))
+    [ (11, false); (12, true) ]
 
 let () =
   Alcotest.run "inject"

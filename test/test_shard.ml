@@ -591,14 +591,13 @@ let test_batch_linearizable_sweep () =
    ([try_enq_batch] = false / [Would_block]).  When that same producer
    is later killed inside the [Enq_batch_after_faa] window — batch
    tickets drawn, no cell filled yet — only that one in-flight batch
-   may strand.  The conservation audit therefore gives enqueue-side
-   kills {e zero} missing-value allowance: every batch whose enqueue
-   returned must still be fully dequeued, and a rejected-then-killed
-   producer must not be double-counted (the rejection left nothing
-   behind; the kill strands at most [batch] uncommitted values).  The
-   [repro shard --bounded] audit encodes exactly this split
-   ([strand_kills = kills - enq_side_kills]); this test pins it under
-   the deterministic scheduler. *)
+   may strand.  [Harness.Storm.audit], the rule every storm applies,
+   gives enqueue-side kills {e zero} missing-value allowance: every
+   batch whose enqueue returned must still be fully dequeued, and a
+   rejected-then-killed producer must not be double-counted (the
+   rejection left nothing behind; the kill strands at most [batch]
+   uncommitted values).  This test runs that audit under the
+   deterministic scheduler. *)
 
 let test_bounded_enq_kill_accounting () =
   let batch = 3 in
@@ -606,85 +605,66 @@ let test_bounded_enq_kill_accounting () =
   let total_kills = ref 0 in
   let total_rejections = ref 0 in
   for seed = 1 to 200 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1
         ~points:[ Inject.Enq_batch_after_faa ]
         ~seed:(Int64.of_int ((seed * 7919) + 17))
         ()
     in
-    Inject.with_controller
-      (fun p ->
-        if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
+    (* capacity 6 per shard against 24 values keeps real rejection
+       pressure on both producers while the consumer drains *)
+    let t =
+      SR.create ~shards:2 ~capacity:6 ~rebalance_every:5 ~patience:1 ~segment_shift:1
+        ~max_garbage:2 ()
+    in
+    let h = Array.init 3 (fun _ -> SR.register t) in
+    let committed = Array.make 3 0 and outcomes = Array.make 3 Harness.Storm.Completed in
+    let got = ref [] in
+    let producers_done = ref 0 in
+    let produce d () =
+      (try
+         while committed.(d) < per_producer do
+           let vs = Array.init batch (fun j -> (d * per_producer) + committed.(d) + j) in
+           if SR.try_enq_batch t h.(d) vs then committed.(d) <- committed.(d) + batch
+           else begin
+             incr total_rejections;
+             Sim.yield ()
+           end
+         done
+       with Inject.Killed p -> outcomes.(d) <- Harness.Storm.Killed p);
+      incr producers_done
+    in
+    let consumer () =
+      let idle = ref 0 in
+      while !producers_done < 2 || !idle < 3 do
+        let before = List.length !got in
+        Array.iter
+          (function Some v -> got := v :: !got | None -> ())
+          (SR.deq_batch t h.(2) batch);
+        if List.length !got = before then incr idle else idle := 0
+      done
+    in
+    Harness.Storm.with_controller
+      ~park:(fun _ -> ())
+      ~victim:(fun () -> Sim.current_fiber () = 0)
+      plan
       (fun () ->
-        (* capacity 6 per shard against 24 values keeps real rejection
-           pressure on both producers while the consumer drains *)
-        let t =
-          SR.create ~shards:2 ~capacity:6 ~rebalance_every:5 ~patience:1
-            ~segment_shift:1 ~max_garbage:2 ()
-        in
-        let hv = SR.register t in
-        let hp = SR.register t in
-        let hc = SR.register t in
-        let committed = ref [] in
-        let got = ref [] in
-        let producers_done = ref 0 in
-        let produce h base () =
-          let next = ref 0 in
-          (try
-             while !next < per_producer do
-               let vs = Array.init batch (fun j -> base + !next + j) in
-               if SR.try_enq_batch t h vs then begin
-                 Array.iter (fun v -> committed := v :: !committed) vs;
-                 next := !next + batch
-               end
-               else begin
-                 incr total_rejections;
-                 Sim.yield ()
-               end
-             done
-           with Inject.Killed _ -> ());
-          incr producers_done
-        in
-        let consumer () =
-          let idle = ref 0 in
-          while !producers_done < 2 || !idle < 3 do
-            let before = List.length !got in
-            Array.iter
-              (function Some v -> got := v :: !got | None -> ())
-              (SR.deq_batch t hc batch);
-            if List.length !got = before then incr idle else idle := 0
-          done
-        in
-        let stats =
-          Sim.run ~seed:(Int64.of_int seed) [| produce hv 100; produce hp 1000; consumer |]
-        in
-        if stats.Sim.max_steps_hit then failf "seed %d: hit step bound" seed;
-        total_kills := !total_kills + (Inject.stats Inject.Enq_batch_after_faa).Inject.kills;
-        let rec drain () =
-          match SR.dequeue t hc with
-          | Some v ->
-            got := v :: !got;
-            drain ()
-          | None -> ()
-        in
-        drain ();
-        let all = List.sort compare !got in
-        let rec dups = function
-          | a :: (b :: _ as tl) -> if a = b then Some a else dups tl
-          | _ -> None
-        in
-        (match dups all with
-        | Some v -> failf "seed %d: value %d dequeued twice" seed v
-        | None -> ());
-        List.iter
-          (fun v ->
-            if not (List.mem v all) then
-              failf
-                "seed %d: committed value %d missing — an enqueue-side kill must strand \
-                 only its own in-flight batch"
-                seed v)
-          !committed)
+        let stats = Sim.run ~seed:(Int64.of_int seed) [| produce 0; produce 1; consumer |] in
+        if stats.Sim.max_steps_hit then failf "seed %d: hit step bound" seed);
+    total_kills := !total_kills + (Inject.stats Inject.Enq_batch_after_faa).Inject.kills;
+    let rec drain () =
+      match SR.dequeue t h.(2) with
+      | Some v ->
+        got := v :: !got;
+        drain ()
+      | None -> ()
+    in
+    drain ();
+    match
+      (Harness.Storm.audit ~ops:per_producer ~batch ~committed ~outcomes !got).violations
+    with
+    | [] -> ()
+    | vs -> failf "seed %d: %s" seed (String.concat "; " vs)
   done;
   if !total_kills = 0 then
     fail "no Enq_batch_after_faa kill fired across 200 seeds — storm is dead code";

@@ -711,78 +711,52 @@ let test_segs_double_release_explore () =
 
 (* The same invariant end-to-end: kill the switcher inside the
    [Topo_switch_draining] window (token held, old backend about to be
-   drained into the new one) and check that the retry path conserves
-   every committed value exactly once — a double-released segment
-   would surface here as a duplicated or vanished value when its block
-   lands in two chains. *)
+   drained into the new one) and check with the storms' conservation
+   audit that the retry path keeps every committed value exactly once
+   — a double-released segment would surface here as a duplicated or
+   vanished value when its block lands in two chains. *)
 let test_adaptive_switch_kill_storm () =
   let total_kills = ref 0 in
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1
         ~points:[ Inject.Topo_switch_draining ]
         ~seed:(Int64.of_int ((seed * 6151) + 3))
         ()
     in
-    Inject.with_controller
-      (fun p ->
-        if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let module Q = Sim.Adaptive_queue in
-        let q = Q.create ~patience:2 ~segment_shift:1 ~max_garbage:2 () in
-        let h = Array.init 3 (fun _ -> Q.register q) in
-        let committed = ref [] in
-        let got = ref [] in
-        (* fiber 0 is the second producer: its first enqueue forces
-           the spsc->mpsc switch, so it is usually the switcher the
-           plan kills mid-drain *)
-        let victim () =
-          try
-            for i = 1 to 5 do
-              Q.enqueue q h.(0) (100 + i);
-              committed := (100 + i) :: !committed
-            done
-          with Inject.Killed _ -> ()
-        in
-        let producer () =
-          for i = 1 to 5 do
-            Q.enqueue q h.(1) i;
-            committed := i :: !committed
-          done
-        in
-        let consumer () =
-          for _ = 1 to 10 do
-            match Q.dequeue q h.(2) with Some v -> got := v :: !got | None -> ()
-          done
-        in
-        ignore (run_ok ~seed [| victim; producer; consumer |]);
-        total_kills := !total_kills + (Inject.stats Inject.Topo_switch_draining).Inject.kills;
-        let rec drain acc =
-          match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc
-        in
-        let all = List.sort compare (!got @ drain []) in
-        let rec dups = function
-          | a :: (b :: _ as tl) -> if a = b then Some a else dups tl
-          | _ -> None
-        in
-        (match dups all with
-        | Some v ->
-          Alcotest.failf "seed %d: value %d dequeued twice after a mid-drain kill" seed v
-        | None -> ());
-        (* every committed value exactly once; the kill may strand at
-           most the victim's single in-flight value *)
-        List.iter
-          (fun v ->
-            if not (List.mem v all) then
-              Alcotest.failf "seed %d: committed value %d lost across the killed switch"
-                seed v)
-          !committed;
-        List.iter
-          (fun v ->
-            if not (List.mem v !committed) && not (v > 100 && v <= 105) then
-              Alcotest.failf "seed %d: alien value %d surfaced" seed v)
-          all)
+    let module Q = Sim.Adaptive_queue in
+    let q = Q.create ~patience:2 ~segment_shift:1 ~max_garbage:2 () in
+    let h = Array.init 3 (fun _ -> Q.register q) in
+    let committed = Array.make 3 0 and outcomes = Array.make 3 Harness.Storm.Completed in
+    let got = ref [] in
+    (* fiber 0 is the second producer: its first enqueue forces the
+       spsc->mpsc switch, so it is usually the switcher the plan kills
+       mid-drain *)
+    let producer d () =
+      try
+        for i = 0 to 4 do
+          Q.enqueue q h.(d) ((d * 5) + i);
+          committed.(d) <- i + 1
+        done
+      with Inject.Killed p -> outcomes.(d) <- Harness.Storm.Killed p
+    in
+    let consumer () =
+      for _ = 1 to 10 do
+        match Q.dequeue q h.(2) with Some v -> got := v :: !got | None -> ()
+      done
+    in
+    Harness.Storm.with_controller
+      ~park:(fun _ -> ())
+      ~victim:(fun () -> Sim.current_fiber () = 0)
+      plan
+      (fun () -> ignore (run_ok ~seed [| producer 0; producer 1; consumer |]));
+    total_kills := !total_kills + (Inject.stats Inject.Topo_switch_draining).Inject.kills;
+    let rec drain acc = match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc in
+    match
+      (Harness.Storm.audit ~ops:5 ~batch:1 ~committed ~outcomes (!got @ drain [])).violations
+    with
+    | [] -> ()
+    | vs -> Alcotest.failf "seed %d: %s" seed (String.concat "; " vs)
   done;
   if !total_kills = 0 then
     Alcotest.fail "no Topo_switch_draining kill fired across 300 seeds — storm is dead code"
