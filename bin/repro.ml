@@ -496,7 +496,7 @@ let topology_cmd =
    points, the scheduler's own windows included.  After [shutdown]
    every promise must be resolved: a completed root carries the exact
    fan-in sum, an aborted or death-resolved root an error, none is
-   left pending. *)
+   left pending, and no worker still counts as a sleeper. *)
 let sched_cmd =
   let module S = Sched.Scheduler_inject in
   let run workers tasks subtasks cap faults =
@@ -568,6 +568,9 @@ let sched_cmd =
                else [ Printf.sprintf "deadline: roots unresolved after %.0f s" Storm.deadline_s ]);
               count !stranded "stranded promise(s)";
               count !wrong "wrong fan-in sum(s)";
+              (* after shutdown no worker may still count as asleep,
+                 a kill in the park window included *)
+              count (if shut then S.sleepers sched else 0) "sleeper registration(s) left raised";
               (if kill then [] else count !errored "root(s) errored without --kill");
             ]))
   in

@@ -101,11 +101,13 @@
       owner or another thief (the CAS never happened, so nothing is
       taken); parking here must not let a concurrent owner pop hand
       out the same task twice.
-    - [Sched_park_pending]: a worker found its deque, the injector and
-      every peer deque empty and is about to park — dying here is the
-      canonical worker-death window: anything pushed to its deque
-      before death must remain stealable, and the pool must keep
-      resolving promises with one fewer worker.
+    - [Sched_park_pending]: an idle worker has registered as a sleeper
+      and read the wake epoch, and has neither re-checked for work nor
+      blocked — dying here is the canonical worker-death window:
+      anything pushed to its deque before death must remain stealable,
+      the pool must keep resolving promises with one fewer worker, and
+      the registration must not outlive the worker (a stall here only
+      makes pushes pay wakes meanwhile).
     - [Sched_resolve_pending]: a fiber computed a promise's result but
       has not yet CASed the state to [Done] — dying here must leave
       the promise pending and resolvable by the recovery path (the

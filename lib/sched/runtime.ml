@@ -81,6 +81,8 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
         let dequeue = Q.dequeue
       end)
 
+  module Park = Sched_park.Make (Wfq.Atomic_prims.Real) (I) (Sched_park.Condvar)
+
   exception Shutdown
   exception Abort_worker
 
@@ -104,6 +106,7 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
     proto : Proto.t;
     injector : task Q.t;
     deques : task Core.Deque.t array;
+    park : Park.t;  (** where idle workers sleep; a push wakes one, if any sleeps *)
     pool_workers : int;
     (* Monitoring counters, each on its own cache line so a dying
        worker and a hot completion path do not false-share. *)
@@ -207,19 +210,17 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
   (* ---------------------------------------------------------------- *)
   (* Ticket routing                                                   *)
 
-  let run_ticket tk = if Proto.claim tk then tk.Proto.run ()
+  let run_ticket tk = ignore (Proto.claim_run tk : bool)
 
   (* Non-blocking admission for workers: [try_enqueue] plus the
      protocol's closed-under-our-feet re-check. *)
   let submit_nonblocking pool tk =
     if not (Proto.accepting pool.proto) then `Rejected
-    else if Q.try_enqueue pool.injector (Q.domain_handle pool.injector) tk then
-      if Proto.accepting pool.proto then `Queued
-      else if Proto.claim tk then begin
-        tk.Proto.abort ();
-        `Queued (* aborted: resolution already happened *)
-      end
-      else `Queued
+    else if Q.try_enqueue pool.injector (Q.domain_handle pool.injector) tk then begin
+      if Proto.accepting pool.proto then Park.wake pool.park
+      else ignore (Proto.claim_abort tk : bool) (* aborted: resolution already happened *);
+      `Queued
+    end
     else `Full
 
   (* Route a continuation ticket to its home pool.  Continuations
@@ -233,22 +234,21 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
       | Some c when c.cpool == pool -> Core.Deque.push c.cdeque tk
       | _ -> false
     in
-    if not pushed_local then
-      if Q.try_enqueue pool.injector (Q.domain_handle pool.injector) tk then begin
-        (* Same push-then-recheck shape as [Sched_protocol.submit],
-           against [stopping]: if the stop raced our push, the
-           post-join sweep may already have passed our ticket, so run
-           it here — the claim CAS makes this a no-op if a worker or
-           the sweep got it first.  (A worker pushing to its own deque
-           above needs no re-check: the owner drains its deque before
-           exiting.) *)
-        if Proto.stopping pool.proto then run_ticket tk
-      end
-      else
-        (* bounded injector at capacity: run inline rather than block —
-           this path is a consumer, and consumers must never wait on
-           the admission line they are responsible for draining *)
-        run_ticket tk
+    if pushed_local then Park.wake pool.park
+    else if Q.try_enqueue pool.injector (Q.domain_handle pool.injector) tk then begin
+      (* Same push-then-recheck shape as [Sched_protocol.submit],
+         against [stopping]: if the stop raced our push, the post-join
+         sweep may already have passed our ticket, so run it here — the
+         claim CAS makes this a no-op if a worker or the sweep got it
+         first.  (A worker pushing to its own deque above needs no
+         re-check: the owner drains its deque before exiting.) *)
+      if Proto.stopping pool.proto then run_ticket tk else Park.wake pool.park
+    end
+    else
+      (* bounded injector at capacity: run inline rather than block —
+         this path is a consumer, and consumers must never wait on the
+         admission line they are responsible for draining *)
+      run_ticket tk
 
   (* ---------------------------------------------------------------- *)
   (* Fibers                                                           *)
@@ -343,24 +343,23 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
        it is safe because only this worker pushes there, and the steal
        sweep below is safe because a peer deque can only be refilled
        by its (live) owner, which then drains it itself or stays to be
-       swept again. *)
+       swept again.  [step] hands back the option that pop, dequeue or
+       steal returned, so finding a task allocates nothing; after a
+       [None], [!stopped] says whether to exit. *)
+    let stopped = ref false in
     let step () =
       match Core.Deque.pop my with
-      | Some tk ->
-        run_ticket tk;
-        `Ran
+      | Some _ as found -> found
       | None -> (
-        let stopping_before = Proto.stopping pool.proto in
+        stopped := Proto.stopping pool.proto;
         match Q.dequeue pool.injector h with
-        | Some tk ->
-          if Proto.claim tk then tk.Proto.run ();
-          `Ran
-        | None -> (
-          match steal_sweep () with
-          | Some tk ->
-            run_ticket tk;
-            `Ran
-          | None -> if stopping_before then `Exit else `Idle))
+        | Some _ as found -> found
+        | None -> steal_sweep ())
+    in
+    let stopping () = Proto.stopping pool.proto in
+    (* [Park.park]'s look for work: [Some None] means exit *)
+    let recheck () =
+      match step () with Some _ as found -> Some found | None -> if !stopped then Some None else None
     in
     let rec loop idle_spins =
       let outcome =
@@ -370,14 +369,21 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
            [worker_deaths]. *)
         try
           match step () with
-          | `Ran -> `Ran
-          | `Exit -> `Exit
-          | `Idle ->
-            if I.enabled then I.hit Inject.Sched_park_pending;
-            (* between spinning and napping: submissions are bursty
-               and the host may be oversubscribed *)
-            if idle_spins < 64 then Domain.cpu_relax () else Unix.sleepf 0.000_2;
-            `Parked
+          | Some tk ->
+            run_ticket tk;
+            `Ran
+          | None when !stopped -> `Exit
+          | None when idle_spins < 64 ->
+            (* submissions are bursty: spin a little before sleeping *)
+            Domain.cpu_relax ();
+            `Idle
+          | None -> (
+            match Park.park pool.park ~stopping ~recheck with
+            | Some (Some tk) ->
+              run_ticket tk;
+              `Ran
+            | Some None -> `Exit
+            | None -> `Ran (* woken: look again, with a fresh spin budget *))
         with
         | Abort_worker | Inject.Killed _ -> `Died
         | _exn ->
@@ -386,7 +392,7 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
       in
       match outcome with
       | `Ran -> loop 0
-      | `Parked -> loop (idle_spins + 1)
+      | `Idle -> loop (idle_spins + 1)
       | `Exit -> ()
       | `Died -> ignore (Atomic.fetch_and_add pool.deaths 1)
     in
@@ -412,6 +418,7 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
       proto = Proto.create injector;
       injector;
       deques = Array.init workers (fun _ -> Core.Deque.create ~capacity:deque_capacity ());
+      park = Park.create ();
       pool_workers = workers;
       live = Primitives.Padding.make_padded_atomic workers;
       deaths = Primitives.Padding.make_padded_atomic 0;
@@ -484,7 +491,8 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
       (* spawn: LIFO on our own deque; overflow to the injector;
          injector at cap: run depth-first right now (never block a
          worker) *)
-      if not (Core.Deque.push c.cdeque tk) then begin
+      if Core.Deque.push c.cdeque tk then Park.wake pool.park
+      else begin
         match submit_nonblocking pool tk with
         | `Queued -> ()
         | `Full -> run_ticket tk
@@ -502,7 +510,8 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
          bounded injector parks the submitter at the admission line *)
       match Proto.submit_ticket pool.proto (Q.domain_handle pool.injector) tk with
       | Proto.Rejected -> reject ()
-      | Proto.Accepted | Proto.Aborted -> ())
+      | Proto.Accepted -> Park.wake pool.park
+      | Proto.Aborted -> ())
 
   let async ?pool t f =
     let p =
@@ -607,6 +616,11 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
     }
 
   let obs t = List.rev_map observe_pool (Atomic.get t.pools) (* default first *)
+
+  (* Workers registered as sleepers, over all pools: after [shutdown]
+     it must read 0, kills in the park window included. *)
+  let sleepers t = List.fold_left (fun acc p -> acc + Park.sleepers p.park) 0 (Atomic.get t.pools)
+
   let pending t = List.fold_left (fun acc p -> acc + pool_backlog p) 0 (Atomic.get t.pools)
   let injector_snapshot t name = Q.snapshot (find_pool t name).injector
 
@@ -621,6 +635,7 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
          fan-out spanning pools cannot re-admit into a pool that
          already drained. *)
       List.iter (fun p -> Proto.begin_shutdown p.proto) pools;
+      List.iter (fun p -> Park.wake_all p.park) pools;
       Mutex.lock t.lock;
       let ds = t.domains in
       t.domains <- [];
@@ -633,7 +648,7 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
          worker-less) injector, which the next pass claims.  Injected
          kills during the sweep claim nothing (all windows are
          pre-commit), so retrying is sound. *)
-      let abort_one tk = if Proto.claim tk then (try tk.Proto.abort () with _ -> ()) in
+      let abort_one tk = try ignore (Proto.claim_abort tk : bool) with _ -> () in
       let sweep_pool p =
         let moved = ref 0 in
         let h = ref (Q.register p.injector) in

@@ -49,8 +49,8 @@ end
 
 module Make (A : Wfq.Atomic_prims.S) (Q : QUEUE) = struct
   type ticket = {
-    run : unit -> unit;  (** execute the task (resolves its future) *)
-    abort : unit -> unit;  (** cancel it (resolves its future with [Shutdown]) *)
+    mutable run : unit -> unit;  (** execute the task (resolves its future) *)
+    mutable abort : unit -> unit;  (** cancel it (resolves its future with [Shutdown]) *)
     claimed : bool A.t;
   }
 
@@ -66,6 +66,23 @@ module Make (A : Wfq.Atomic_prims.S) (Q : QUEUE) = struct
   let accepting t = A.get t.accepting
   let stopping t = A.get t.stopping
   let claim ticket = A.compare_and_set ticket.claimed false true
+
+  (* The claim winner is the only party that ever reads [run] and
+     [abort], so it swaps both for [nop] before calling one: a consumed
+     queue cell or deque slot that still points at the ticket until its
+     segment is recycled then pins three words, not the task's closure,
+     continuation and captured state.  Plain fields suffice — the claim
+     CAS orders the winner after the creator's writes, and losers never
+     read them. *)
+  let nop () = ()
+
+  let fire tk f =
+    tk.run <- nop;
+    tk.abort <- nop;
+    f ()
+
+  let claim_run tk = claim tk && (fire tk tk.run; true)
+  let claim_abort tk = claim tk && (fire tk tk.abort; true)
 
   let ticket ~run ~abort = { run; abort; claimed = A.make false }
   (* Pre-built tickets let the scheduler route the same claim-once unit
@@ -86,10 +103,7 @@ module Make (A : Wfq.Atomic_prims.S) (Q : QUEUE) = struct
          were pushing, the drain may already have run past our ticket,
          so take responsibility unless someone else already has it. *)
       if A.get t.accepting then Accepted
-      else if claim tk then begin
-        tk.abort ();
-        Aborted
-      end
+      else if claim_abort tk then Aborted
       else Accepted (* a worker or the drain claimed it: it resolves *)
     end
 
@@ -108,12 +122,7 @@ module Make (A : Wfq.Atomic_prims.S) (Q : QUEUE) = struct
        by a dequeue that starts after it. *)
     let stopping_before = A.get t.stopping in
     match Q.dequeue t.tickets h with
-    | Some ticket ->
-      if claim ticket then begin
-        ticket.run ();
-        Ran
-      end
-      else Stale
+    | Some ticket -> if claim_run ticket then Ran else Stale
     | None -> if stopping_before then Exit else Idle
 
   let begin_shutdown t =
@@ -126,12 +135,7 @@ module Make (A : Wfq.Atomic_prims.S) (Q : QUEUE) = struct
   let drain t h =
     let rec go n =
       match Q.dequeue t.tickets h with
-      | Some ticket ->
-        if claim ticket then begin
-          ticket.abort ();
-          go (n + 1)
-        end
-        else go n
+      | Some ticket -> if claim_abort ticket then go (n + 1) else go n
       | None -> n
     in
     go 0

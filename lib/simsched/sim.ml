@@ -1,4 +1,4 @@
-type _ Effect.t += Yield : unit Effect.t
+type _ Effect.t += Yield : unit Effect.t | Block : (unit -> bool) -> unit Effect.t
 
 let clock = ref 0
 let now () = !clock
@@ -13,6 +13,11 @@ let yield () = try Effect.perform Yield with Effect.Unhandled _ -> ()
    own steps, where this is exact. *)
 let running = ref (-1)
 let current_fiber () = !running
+
+(* A blocked fiber is not a candidate until its predicate holds; the
+   scheduler evaluates it between steps, outside every fiber, where
+   [Atomic_shim] accesses do not yield. *)
+let block_until p = Effect.perform (Block p)
 
 module Atomic_shim : Wfq.Atomic_prims.S = struct
   (* Single-domain cells: the scheduler interleaves fibers only at
@@ -100,13 +105,14 @@ module Adaptive_queue =
 module Adaptive_router = Shard.Router (Atomic_shim) (Adaptive_queue)
 module Sched_core = Sched.Sched_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
 
-type stats = { scheduling_decisions : int; max_steps_hit : bool }
+type stats = { scheduling_decisions : int; max_steps_hit : bool; blocked : int }
 
 exception Fiber_failure of int * exn
 
 type fiber_state =
   | Ready of (unit -> unit)
   | Paused of (unit, unit) Effect.Deep.continuation
+  | Blocked of (unit -> bool) * (unit, unit) Effect.Deep.continuation
   | Finished
 
 (* Core loop shared by the random driver and the systematic explorer:
@@ -133,43 +139,57 @@ let exec ~max_steps ~(pick : last:int option -> candidates:int list -> int) fibe
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 states.(!current) <- Paused k)
+          | Block p ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                states.(!current) <- Blocked (p, k))
           | _ -> None);
     }
   in
   let candidates () =
     let cs = ref [] in
     for i = Array.length states - 1 downto 0 do
-      match states.(i) with Finished -> () | Ready _ | Paused _ -> cs := i :: !cs
+      match states.(i) with
+      | Finished -> ()
+      | Blocked (p, _) -> if p () then cs := i :: !cs
+      | Ready _ | Paused _ -> cs := i :: !cs
     done;
     !cs
   in
   let last = ref None in
   let truncated = ref false in
+  let stuck = ref false in
   (* reset [running] even when a fiber's exception aborts the run *)
   Fun.protect ~finally:(fun () -> running := -1)
   @@ fun () ->
-  while !live > 0 && not !truncated do
+  while !live > 0 && not (!truncated || !stuck) do
     if !steps >= max_steps then truncated := true
-    else begin
-      incr steps;
-      incr clock;
-      let i = pick ~last:!last ~candidates:(candidates ()) in
-      last := Some i;
-      current := i;
-      running := i;
-      match states.(i) with
-      | Ready f ->
-        (* if it yields, the handler stores the continuation; if it
-           returns, retc marks it finished *)
-        Effect.Deep.match_with f () handler
-      | Paused k ->
-        states.(i) <- Ready (fun () -> assert false);
-        (* placeholder overwritten by the handler on next capture *)
-        Effect.Deep.continue k ()
-      | Finished -> assert false
-    end
+    else
+      match candidates () with
+      | [] -> stuck := true (* every live fiber is blocked: nothing can wake them *)
+      | candidates -> (
+        incr steps;
+        incr clock;
+        let i = pick ~last:!last ~candidates in
+        last := Some i;
+        current := i;
+        running := i;
+        match states.(i) with
+        | Ready f ->
+          (* if it yields, the handler stores the continuation; if it
+             returns, retc marks it finished *)
+          Effect.Deep.match_with f () handler
+        | Paused k | Blocked (_, k) ->
+          states.(i) <- Ready (fun () -> assert false);
+          (* placeholder overwritten by the handler on next capture *)
+          Effect.Deep.continue k ()
+        | Finished -> assert false)
   done;
-  { scheduling_decisions = !steps; max_steps_hit = !truncated }
+  {
+    scheduling_decisions = !steps;
+    max_steps_hit = !truncated;
+    blocked = (if !stuck then !live else 0);
+  }
 
 let run ?(seed = 1L) ?(max_steps = 10_000_000) fibers =
   let rng = Primitives.Splitmix64.create seed in

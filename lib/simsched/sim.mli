@@ -74,6 +74,7 @@ module Sched_core :
 type stats = {
   scheduling_decisions : int;
   max_steps_hit : bool; (* true when the step limit stopped the run *)
+  blocked : int; (* fibers left in {!block_until} when no fiber could run *)
 }
 
 exception Fiber_failure of int * exn
@@ -96,6 +97,15 @@ val yield : unit -> unit
     that is not built on {!Atomic_shim} (e.g. an [Inject.set_park]
     implementation, so a parked fiber is descheduled rather than
     busy) participate in the simulated schedule. *)
+
+val block_until : (unit -> bool) -> unit
+(** [block_until p] deschedules the calling fiber until [p ()] holds:
+    the model of a condition-variable wait, whose predicate the waiter
+    re-checks under its mutex.  The scheduler evaluates [p] between
+    steps, outside every fiber, so [p]'s {!Atomic_shim} reads are not
+    preemption points.  A run in which every live fiber is blocked
+    stops there and reports them in [blocked] — a lost wakeup, when
+    one of them had work waiting.  Only a fiber of a run may block. *)
 
 val current_fiber : unit -> int
 (** Index (into {!run}'s fiber array) of the fiber currently

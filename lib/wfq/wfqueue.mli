@@ -123,12 +123,16 @@ val enqueue_exn : 'a t -> 'a handle -> 'a -> unit
 
 val dequeue : 'a t -> 'a handle -> 'a option
 (** Wait-free dequeue (Listing 4); [None] means the queue was
-    observed empty (the paper's EMPTY).  Bounded queues take a
-    pre-FAA empty check (EMPTY without burning a head ticket):
-    the paper's unconditional ticket is harmless with unbounded
-    memory, but under a segment cap an idle poller's tickets would
-    drag the head through segments that must be materialized from
-    the same budget producers need. *)
+    observed empty (the paper's EMPTY).  Unlike Listing 4, EMPTY is
+    answered {e before} the head FAA: the dequeue reads the head
+    index, then the tail index, and answers [None] without taking a
+    ticket when head >= tail (linearized at the tail read; DESIGN.md
+    §3).  A poll of an empty queue therefore poisons no cell — the
+    enqueue that later draws that index is not pushed round again —
+    and leaves both indices alone, so idle pollers allocate no
+    segments.  Otherwise the paper's protocol runs unchanged, and it
+    can still answer [None] after taking a ticket (a racing dequeuer
+    took the last value). *)
 
 val dequeue_or : 'a t -> 'a handle -> 'a -> 'a
 (** [dequeue_or q h default] is {!dequeue} returning [default] when
@@ -167,10 +171,12 @@ val deq_batch : 'a t -> 'a handle -> int -> 'a option array
     FAA on the head index and resolves each like a fast-path dequeue
     (help the enqueue, claim the value), falling back to the per-cell
     slow path on interference.  Returns exactly [k] slots in cell
-    order; [None] slots are EMPTY observations (the queue had fewer
-    than [k] values when the tickets were taken — batched consumers
-    should size [k] from {!approx_length} to avoid burning empty
-    tickets).  Not atomic, same contract as {!enq_batch}.  [k <= 0]
+    order; [None] slots are EMPTY observations.  Like {!dequeue}, a
+    batch that finds head >= tail answers [k] EMPTYs before the FAA,
+    taking no ticket; otherwise it reserves all [k] cells, and the
+    slots past the values the queue held are EMPTY (poisoned cells,
+    as in Listing 4 — size [k] from {!approx_length} when that
+    matters).  Not atomic, same contract as {!enq_batch}.  [k <= 0]
     returns [[||]] without consuming tickets. *)
 
 val deq_batch_into : 'a t -> 'a handle -> 'a array -> default:'a -> int
@@ -181,7 +187,7 @@ val deq_batch_into : 'a t -> 'a handle -> 'a array -> default:'a -> int
     [default], and returns [n].  No [Some] box per cell and no result
     array: zero minor words per call in the production build
     (Alloc_bench row "wf-10-deq-batch-into").  Same non-atomicity and
-    ticket-burning contract as {!deq_batch}; [default] needs no
+    EMPTY-before-the-FAA contract as {!deq_batch}; [default] needs no
     distinguishability property because the count [n] is the
     authority.  A zero-length [out] is a no-op returning [0]. *)
 

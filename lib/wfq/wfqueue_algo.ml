@@ -541,9 +541,10 @@ let update q (from_ : 'a segment A.t) (to_ : 'a segment ref) owner =
 (* L.222-238.  One deliberate strengthening over the pseudocode: §3.6
    states that a segment is retired only once "both T and H have
    moved past i×N", but Listing 5 derives the reclaim candidate [e]
-   from head pointers alone.  Under a drained queue (H far ahead of
-   T) that lets [e] pass segments that future enqueues, whose FAA
-   tickets trail H, must still reach.  We cap [e] at
+   from head pointers alone.  When H runs ahead of T (a batch
+   dequeue reserves k cells past the last value; dequeuers that passed
+   the EMPTY check race for the last one) that lets [e] pass segments
+   that future enqueues, whose FAA tickets trail H, must still reach.  We cap [e] at
    segment(min(T,H)/N) to enforce the stated condition.
 
    The threshold test runs on every dequeue; everything it needs is
@@ -695,7 +696,7 @@ let cleanup q h = cleanup_candidate q h (A.get h.head)
    When the budget is gone and the pool is empty the acquire waits.
    This wait is meant to be rare: blocking enqueues park hazard-free
    at the admission line ([wait_admission]) before taking a ticket,
-   and bounded dequeues take a pre-FAA empty check, so only the
+   and dequeues answer EMPTY before the FAA, so only the
    advisory overshoot (racing producers past the admission read)
    lands here, with [max_garbage + 2] segments of headroom to absorb
    it.  The waiter cannot just poll for someone else's [cleanup] to
@@ -1208,23 +1209,27 @@ let deq_slow q h cell_id =
   assert (w != bottom_w) (* the request completed at this cell *);
   if w == top_w then empty_w else w
 
+(* EMPTY before the FAA (DESIGN.md §3): read H, then T; H >= T
+   linearizes EMPTY at the T read, both indices being monotone.  The
+   paper's dequeue burns a head ticket even on an empty queue, and the
+   cell it poisons sends the enqueuer that later draws that index round
+   again — down the slow path once patience runs out — and drags H
+   through segments nobody fills (under a segment cap, out of the
+   budget producers are blocked on).  The order of the two reads is the
+   whole argument: T first lets a complete enqueue and a complete
+   dequeue slip in between, and EMPTY a non-empty queue.  Hence the
+   [let]: OCaml evaluates the operands of [>=] right to left. *)
+let[@inline] observed_empty q =
+  let h = A.get q.head_index in
+  h >= A.get q.tail_index
+
 (* L.128-148: the paper's dequeue/deq_fast pair fused into one
-   patience recursion.  Each round is L.140-148 (FAA a head ticket,
-   help the cell's enqueuer, claim); the word result is the value,
-   or [empty_w] — no [Dq_*] variant box and no segment [ref] per
-   round. *)
+   patience recursion.  Each round is [observed_empty], then L.140-148
+   (FAA a head ticket, help the cell's enqueuer, claim); the word
+   result is the value, or [empty_w] — no [Dq_*] variant box and no
+   segment [ref] per round. *)
 let rec deq_attempt q h p =
-  (* Bounded mode takes a pre-FAA empty check (read H, then T; H >= T
-     linearizes EMPTY at the T read, both indices being monotone).
-     The paper's dequeue burns the head ticket unconditionally, which
-     is harmless with unbounded memory but lethal under a segment cap:
-     an idle consumer's tickets march H through segments that must be
-     materialized from the same budget producers are blocked on, so a
-     polling consumer could drain the freelist and then wait in
-     [obtain_segment] with its hazard pinned — the deadlock the pool
-     storms caught.  Unbounded mode keeps the paper's exact ticket
-     semantics. *)
-  if q.segment_cap <> max_int && A.get q.head_index >= A.get q.tail_index then begin
+  if observed_empty q then begin
     h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
     h.stats.empty_dequeues <- h.stats.empty_dequeues + 1;
     empty_w
@@ -1415,9 +1420,10 @@ let enq_batch (q : 'a t) (h : 'a handle) (vs : 'a array) =
 
 let deq_batch (q : 'a t) (h : 'a handle) k : 'a option array =
   if k <= 0 then [||]
-  else if q.segment_cap <> max_int && A.get q.head_index >= A.get q.tail_index then begin
-    (* bounded-mode pre-FAA empty check, as in [deq_attempt]: don't
-       burn k head tickets through segments the cap may not cover *)
+  else if observed_empty q then begin
+    (* EMPTY before the FAA, as in [deq_attempt]: k EMPTY answers, all
+       linearized at the T read, and no head ticket burnt *)
+    h.stats.fast_dequeues <- h.stats.fast_dequeues + k;
     h.stats.empty_dequeues <- h.stats.empty_dequeues + k;
     Array.make k None
   end
@@ -1519,7 +1525,8 @@ let rec deq_batch_into_loop q h (out : 'a array) k first j n =
 let deq_batch_into (q : 'a t) (h : 'a handle) (out : 'a array) ~(default : 'a) : int =
   let k = Array.length out in
   if k = 0 then 0
-  else if q.segment_cap <> max_int && A.get q.head_index >= A.get q.tail_index then begin
+  else if observed_empty q then begin
+    h.stats.fast_dequeues <- h.stats.fast_dequeues + k;
     h.stats.empty_dequeues <- h.stats.empty_dequeues + k;
     Array.fill out 0 k default;
     0

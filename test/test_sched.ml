@@ -431,6 +431,158 @@ let test_protocol_seed_sweep () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Park / wake handshake (simulated)                                  *)
+
+(* The eventcount idle workers sleep on ([Sched.Sched_park.Make]), the
+   shipped text on the simsched shim.  Blocking is modelled as
+   [Sim.block_until]: the sleeper is descheduled until the epoch moves
+   or the pool stops, the predicate the production wait re-checks
+   under its mutex.  A lost wakeup shows as a run that ends with the
+   sleeper blocked and a ticket still queued. *)
+
+module Sim_blocker = struct
+  type t = unit
+
+  let create () = ()
+  let wait () ~until = Sim.block_until until
+  let signal () = ()
+  let broadcast () = ()
+end
+
+module PK = Sched.Sched_park.Make (Sim.Atomic_shim) (Inject.Enabled) (Sim_blocker)
+
+type park_state = {
+  pproto : SP.t;
+  park : PK.t;
+  phandles : SP.ticket SimQ.handle array;
+  ran : int array; (* run+abort calls per submitter's ticket *)
+  rejected : bool array; (* per submitter: the pool was already closed *)
+  exited : bool array; (* per worker: left its loop *)
+}
+
+let make_park_state ~n_sub ~n_workers () =
+  let q = SimQ.create ~patience:1 () in
+  {
+    pproto = SP.create q;
+    park = PK.create ();
+    phandles = Array.init (n_sub + n_workers + 1) (fun _ -> SimQ.register q);
+    ran = Array.make n_sub 0;
+    rejected = Array.make n_sub false;
+    exited = Array.make n_workers false;
+  }
+
+(* The runtime's idle loop, minus the spin: look for work, and when
+   there is none, park with one more look as the re-check.  A worker
+   leaves once every ticket ran, or on [Exit]. *)
+let park_worker st ~n_sub w () =
+  let h = st.phandles.(n_sub + w) in
+  let all_ran () = Array.for_all2 (fun n r -> n > 0 || r) st.ran st.rejected in
+  let stopping () = SP.stopping st.pproto in
+  let recheck () = match SP.worker_step st.pproto h with SP.Idle -> None | r -> Some r in
+  let rec loop () =
+    if not (all_ran ()) then
+      match SP.worker_step st.pproto h with
+      | SP.Exit -> ()
+      | SP.Ran | SP.Stale -> loop ()
+      | SP.Idle -> (
+        match PK.park st.park ~stopping ~recheck with Some SP.Exit -> () | _ -> loop ())
+  in
+  loop ();
+  st.exited.(w) <- true
+
+let park_submitter st s () =
+  let count () = st.ran.(s) <- st.ran.(s) + 1 in
+  match SP.submit st.pproto st.phandles.(s) ~run:count ~abort:count with
+  | SP.Accepted -> PK.wake st.park
+  | SP.Rejected -> st.rejected.(s) <- true
+  | SP.Aborted -> ()
+
+let park_check st ~ident =
+  Array.iteri
+    (fun s n ->
+      let want = if st.rejected.(s) then 0 else 1 in
+      if n <> want then Alcotest.failf "%s: ticket %d resolved %d times (want %d)" ident s n want)
+    st.ran
+
+let test_park_explore_submit_vs_sleeper () =
+  (* two submitters against a sleeper: every schedule with <= 2
+     preemptions must run each ticket exactly once — the sleeper may
+     not be left blocked while a ticket is queued *)
+  let n_sub = 2 and n_workers = 1 in
+  let state = ref None in
+  let r =
+    Sim.explore ~max_schedules:200_000 ~preemptions:2
+      ~make_fibers:(fun () ->
+        let st = make_park_state ~n_sub ~n_workers () in
+        state := Some st;
+        Array.append
+          (Array.init n_sub (park_submitter st))
+          (Array.init n_workers (park_worker st ~n_sub)))
+      ~check:(fun () -> park_check (Option.get !state) ~ident:"submit vs sleeper")
+      ()
+  in
+  if r.Sim.truncated_runs > 0 then Alcotest.fail "truncated schedules in park exploration";
+  check Alcotest.bool "space exhausted" true r.Sim.exhausted;
+  check Alcotest.bool "explored a non-trivial space" true (r.Sim.schedules > 10_000)
+
+let test_park_explore_shutdown_vs_sleeper () =
+  (* shutdown against a sleeper: the broadcast must release it, and it
+     must leave through [Exit] with the ticket resolved *)
+  let state = ref None in
+  let r =
+    Sim.explore ~max_schedules:200_000 ~preemptions:2
+      ~make_fibers:(fun () ->
+        let st = make_park_state ~n_sub:1 ~n_workers:1 () in
+        state := Some st;
+        [|
+          park_submitter st 0;
+          (fun () ->
+            SP.begin_shutdown st.pproto;
+            PK.wake_all st.park);
+          park_worker st ~n_sub:1 0;
+        |])
+      ~check:(fun () ->
+        let st = Option.get !state in
+        if not st.exited.(0) then Alcotest.fail "sleeper still blocked after shutdown";
+        (* a ticket pushed after the worker's final EMPTY is the
+           post-join drain's, exactly as in [Scheduler.shutdown] *)
+        ignore (SP.drain st.pproto st.phandles.(2));
+        park_check st ~ident:"shutdown vs sleeper")
+      ()
+  in
+  if r.Sim.truncated_runs > 0 then Alcotest.fail "truncated schedules in park exploration";
+  check Alcotest.bool "explored a non-trivial space" true (r.Sim.schedules > 100)
+
+let test_park_window_kill () =
+  (* a sleeper killed between registering and blocking
+     ([Sched_park_pending]) must take its registration with it, or every
+     later push would pay a wake for nobody; the survivor still runs
+     every ticket *)
+  let kills = ref 0 in
+  for seed = 1 to 300 do
+    let st = make_park_state ~n_sub:2 ~n_workers:2 () in
+    let victim = 2 (* the first worker *) in
+    let fibers =
+      Array.append
+        (Array.init 2 (park_submitter st))
+        (Array.init 2 (fun w () -> try park_worker st ~n_sub:2 w () with Inject.Killed _ -> incr kills))
+    in
+    Inject.with_controller
+      (fun p ->
+        if p = Inject.Sched_park_pending && Sim.current_fiber () = victim then Inject.Die
+        else Inject.Continue)
+      (fun () ->
+        let stats = Sim.run ~seed:(Int64.of_int seed) fibers in
+        if stats.Sim.max_steps_hit then Alcotest.failf "seed %d: step limit" seed;
+        (* only a worker still blocked in [park] may count as a sleeper *)
+        if PK.sleepers st.park <> stats.Sim.blocked then
+          Alcotest.failf "seed %d: %d sleeper registration(s), %d worker(s) blocked" seed
+            (PK.sleepers st.park) stats.Sim.blocked);
+    park_check st ~ident:(Printf.sprintf "park-kill seed %d" seed)
+  done;
+  check Alcotest.bool "the window was hit" true (!kills > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Runtime on real domains                                            *)
 
 module S = Sched.Scheduler
@@ -635,6 +787,25 @@ let test_no_strand_after_all_workers_die () =
   let o = List.hd (S.obs t) in
   check Alcotest.bool "sweep aborted something" true (o.S.aborted_promises >= 1)
 
+let test_finished_task_releases_closure () =
+  (* A consumed injector cell keeps pointing at its ticket until the
+     segment is recycled.  The claim winner swaps the ticket's closures
+     for a no-op before running, so a finished task's captured state
+     can be collected while the cell still holds the ticket. *)
+  with_sched ~workers:1 (fun t ->
+      let watch = Weak.create 1 in
+      let submit () =
+        let buf = Bytes.make 4096 'x' in
+        Weak.set watch 0 (Some buf);
+        S.async t (fun () -> Bytes.length buf)
+      in
+      let p = (Sys.opaque_identity submit) () in
+      check Alcotest.int "task ran" 4096 (S.Promise.await p);
+      let segs = (S.injector_snapshot t "default").Obs.Snapshot.segments in
+      check Alcotest.int "its injector segment is not recycled" 0 segs.Obs.Snapshot.reclaimed;
+      Gc.full_major ();
+      check Alcotest.bool "captured buffer collected" false (Weak.check watch 0))
+
 (* ------------------------------------------------------------------ *)
 (* The default pool seen from outside: external submitters            *)
 
@@ -761,6 +932,9 @@ let test_storm_kill_fan_out () =
         in
         settle ();
         SI.shutdown t;
+        check Alcotest.int
+          (Printf.sprintf "seed %d: no sleeper registration left" seed)
+          0 (SI.sleepers t);
         List.iteri
           (fun i p ->
             match SI.Promise.poll p with
@@ -801,7 +975,10 @@ let test_storm_park_fan_out () =
             | Ok v -> check Alcotest.int (Printf.sprintf "seed %d root %d" seed r) (expect r) v
             | Error e -> Alcotest.failf "seed %d root %d: %s" seed r (Printexc.to_string e))
           roots;
-        SI.shutdown t)
+        SI.shutdown t;
+        check Alcotest.int
+          (Printf.sprintf "seed %d: no sleeper registration left" seed)
+          0 (SI.sleepers t))
   done
 
 let () =
@@ -830,6 +1007,14 @@ let () =
           Alcotest.test_case "submit vs shutdown vs worker, explored" `Quick test_protocol_explore;
           Alcotest.test_case "seeded interleaving sweep" `Quick test_protocol_seed_sweep;
         ] );
+      ( "park",
+        [
+          Alcotest.test_case "submit vs sleeper, explored" `Quick
+            test_park_explore_submit_vs_sleeper;
+          Alcotest.test_case "shutdown vs sleeper, explored" `Quick
+            test_park_explore_shutdown_vs_sleeper;
+          Alcotest.test_case "kill in the park window" `Quick test_park_window_kill;
+        ] );
       ( "runtime",
         [
           Alcotest.test_case "async / await" `Quick test_async_await;
@@ -843,6 +1028,8 @@ let () =
           Alcotest.test_case "worker death recovery" `Quick test_worker_death_recovery;
           Alcotest.test_case "no strand after all workers die" `Quick
             test_no_strand_after_all_workers_die;
+          Alcotest.test_case "finished task's closure is collectable" `Quick
+            test_finished_task_releases_closure;
         ] );
       ( "pool",
         [

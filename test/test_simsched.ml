@@ -479,6 +479,60 @@ let test_exploration_retire_recycle () =
   check Alcotest.int "no truncated runs" 0 r.Sim.truncated_runs;
   check Alcotest.bool "explored plenty" true (r.Sim.schedules > 5_000)
 
+let test_exploration_empty_check () =
+  (* The dequeue answers EMPTY before its head FAA when it reads H, then
+     T, and sees H >= T.  One value is queued; an EMPTY-prone poller
+     races an enqueuer of a second value and a dequeuer on the
+     unbounded queue, and every history of the bounded space must be
+     linearizable.  The read order is what is checked: reading T first
+     lets a whole enqueue and a whole dequeue of the older value slip
+     between the two reads, and the poller then answers EMPTY while the
+     new value sits queued. *)
+  let events = ref [] in
+  let record thread input f =
+    let inv = Sim.now () in
+    let output = f () in
+    let res = Sim.now () in
+    events := { H.thread; input; output; inv; res } :: !events
+  in
+  let deq q h () = match Q.dequeue q h with Some v -> Spec.Got v | None -> Spec.Empty in
+  let make_fibers () =
+    let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 () in
+    let hs = Array.init 3 (fun _ -> Q.register q) in
+    Q.enqueue q hs.(0) 1;
+    events := [ { H.thread = 3; input = Spec.Enq 1; output = Spec.Accepted; inv = -2; res = -1 } ];
+    [|
+      (fun () -> record 0 Spec.Deq (deq q hs.(0)));
+      (fun () ->
+        record 1 (Spec.Enq 2) (fun () ->
+            Q.enqueue q hs.(1) 2;
+            Spec.Accepted));
+      (fun () -> record 2 Spec.Deq (deq q hs.(2)));
+    |]
+  in
+  let check_schedule () =
+    let evs = Array.of_list (List.rev !events) in
+    Array.sort (fun a b -> compare a.H.inv b.H.inv) evs;
+    match Wgl.check evs with
+    | Wgl.Linearizable _ -> ()
+    | Wgl.Not_linearizable ->
+      let show e =
+        Printf.sprintf "t%d %s -> %s [%d,%d]" e.H.thread
+          (match e.H.input with Spec.Enq v -> Printf.sprintf "enq %d" v | Spec.Deq -> "deq")
+          (match e.H.output with
+          | Spec.Accepted -> "ok"
+          | Spec.Got v -> string_of_int v
+          | Spec.Empty -> "EMPTY")
+          e.H.inv e.H.res
+      in
+      Alcotest.failf "non-linearizable: %s" (String.concat "; " (Array.to_list (Array.map show evs)))
+    | Wgl.Too_large -> Alcotest.fail "history too large"
+  in
+  let r = Sim.explore ~max_schedules:200_000 ~preemptions:2 ~make_fibers ~check:check_schedule () in
+  check Alcotest.bool "space exhausted" true r.Sim.exhausted;
+  check Alcotest.int "no truncated runs" 0 r.Sim.truncated_runs;
+  check Alcotest.bool "non-trivial space" true (r.Sim.schedules > 1_000)
+
 (* QCheck fuzzing: random 3-thread op programs, each run under
    several random schedules and WGL-checked.  QCheck shrinks a failing
    program to a minimal counterexample. *)
@@ -688,6 +742,7 @@ let () =
           Alcotest.test_case "exhaustive, 2 preemptions" `Quick test_exhaustive_preemption_bounded;
           Alcotest.test_case "helping scenario" `Quick test_exploration_helping_scenario;
           Alcotest.test_case "retire/recycle" `Quick test_exploration_retire_recycle;
+          Alcotest.test_case "EMPTY before the FAA" `Quick test_exploration_empty_check;
         ] );
       ( "baselines",
         [

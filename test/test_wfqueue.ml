@@ -83,8 +83,29 @@ let test_approx_length () =
   done;
   check Alcotest.int "zero" 0 (W.approx_length q);
   ignore (W.dequeue q h);
-  (* an empty dequeue over-advances H; the length must stay clamped *)
-  check Alcotest.int "clamped" 0 (W.approx_length q)
+  check Alcotest.int "still zero after an EMPTY" 0 (W.approx_length q)
+
+(* EMPTY is answered before the head FAA: polls of an empty queue take
+   no ticket, so they neither poison the cells the next enqueues draw
+   nor drag the head through fresh segments.  Under the paper's
+   unconditional FAA, 10^5 burnt tickets would allocate ~100 segments
+   and send the enqueue down the slow path past every poisoned cell. *)
+let test_empty_polls_burn_nothing () =
+  let q = W.create () in
+  let h = W.register q in
+  let out = Array.make 4 0 in
+  let values = ref 0 in
+  for _ = 1 to 10_000 do
+    if W.dequeue q h <> None then incr values;
+    if W.dequeue_or q h (-1) <> -1 then incr values;
+    if not (Array.for_all Option.is_none (W.deq_batch q h 4)) then incr values;
+    values := !values + W.deq_batch_into q h out ~default:0
+  done;
+  check Alcotest.int "every poll EMPTY" 0 !values;
+  W.enqueue q h 7;
+  check Alcotest.int "one segment" 1 (W.allocated_segments q);
+  check Alcotest.int "no slow enqueue" 0 (W.stats q).Wfq.Op_stats.slow_enqueues;
+  check Alcotest.(option int) "the value is there" (Some 7) (W.dequeue q h)
 
 let test_multiple_queues_independent () =
   let q1 = W.create () and q2 = W.create () in
@@ -183,6 +204,7 @@ let () =
           Alcotest.test_case "patience 0" `Quick test_patience_zero_sequential;
           Alcotest.test_case "polymorphic payloads" `Quick test_polymorphic_payloads;
           Alcotest.test_case "approx_length" `Quick test_approx_length;
+          Alcotest.test_case "EMPTY polls burn nothing" `Quick test_empty_polls_burn_nothing;
           Alcotest.test_case "independent queues" `Quick test_multiple_queues_independent;
           Alcotest.test_case "many handles" `Quick test_many_handles_same_domain;
           QCheck_alcotest.to_alcotest prop_sequential_model;
