@@ -495,8 +495,9 @@ let topology_cmd =
    domains (every domain but this one) stall or die at seed-chosen
    points, the scheduler's own windows included.  After [shutdown]
    every promise must be resolved: a completed root carries the exact
-   fan-in sum, an aborted or death-resolved root an error, none is
-   left pending, and no worker still counts as a sleeper. *)
+   fan-in sum, an aborted or death-resolved root an error, no root or
+   subtask is left pending, and no worker still counts as a
+   sleeper. *)
 let sched_cmd =
   let module S = Sched.Scheduler_inject in
   let run workers tasks subtasks cap faults =
@@ -507,12 +508,15 @@ let sched_cmd =
     let kill = faults.Storm.kill in
     let driver = Domain.self () in
     let t0 = Primitives.Clock.now_ns () in
+    (* each root records its subtasks' promises for the audit *)
+    let kids_of = Array.make tasks [] in
     let storm () =
       let sched = S.create ~workers ?injector_cap:cap () in
       let roots =
         Array.init tasks (fun i ->
             S.async sched (fun () ->
                 let kids = List.init subtasks (fun j -> S.async sched (fun () -> i + j)) in
+                kids_of.(i) <- kids;
                 List.fold_left (fun acc k -> acc + S.Promise.await k) 0 kids))
       in
       (* with --kill, once no worker lives only shutdown's sweep and the
@@ -544,8 +548,16 @@ let sched_cmd =
         | Some (Ok s) -> if s = expected i then incr completed else incr wrong
         | Some (Error _) -> incr errored)
       roots;
+    let stranded_kids =
+      Array.fold_left
+        (fun acc kids ->
+          List.fold_left (fun acc p -> if S.Promise.is_resolved p then acc else acc + 1) acc kids)
+        0 kids_of
+    in
     Printf.printf "\n  %d roots: %d completed, %d errored, %d wrong, %d stranded\n" tasks !completed
       !errored !wrong !stranded;
+    Printf.printf "  subtasks: %d stranded; fibers parked %d times\n" stranded_kids
+      (S.suspensions sched);
     let total = tasks * (1 + subtasks) in
     Printf.printf "  %d tasks through the scheduler in %.3fs (%.3f Mtasks/s)\n" total elapsed_s
       (float_of_int total /. elapsed_s /. 1e6);
@@ -567,6 +579,7 @@ let sched_cmd =
               (if shut then []
                else [ Printf.sprintf "deadline: roots unresolved after %.0f s" Storm.deadline_s ]);
               count !stranded "stranded promise(s)";
+              count stranded_kids "stranded subtask promise(s)";
               count !wrong "wrong fan-in sum(s)";
               (* after shutdown no worker may still count as asleep,
                  a kill in the park window included *)

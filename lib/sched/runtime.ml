@@ -5,9 +5,13 @@
    worker domain owns a Chase–Lev deque ([Sched_algo.Deque]) for the
    tasks it spawns, so the common fork-join pattern runs LIFO and
    cache-warm with zero shared-queue traffic, and only load imbalance
-   pays a steal CAS.  Fibers are [Effect.Deep] computations: [await]
-   on an unresolved [Promise] captures the continuation as a protocol
-   ticket and parks it on the promise; resolution re-schedules it.
+   pays a steal CAS.  Fibers are [Effect.Deep] computations.  [await]
+   on an unresolved [Promise] first helps: it runs tickets from the
+   worker's own deque ([Sched_algo.help]) until the promise resolves,
+   so a fork-join parent usually runs its own children inline.  Only
+   when the deque runs dry does it capture the continuation as a
+   protocol ticket and park it on the promise; resolution re-schedules
+   it.
 
    Admission and shutdown reuse [Sched_protocol] (the model-checked
    claim-once ticket discipline): a ticket is claimed exactly once
@@ -32,13 +36,22 @@
       so its tickets are taken by peers or by the shutdown sweep;
    4. the kill windows ([Sched_steal_pending], [Sched_park_pending],
       [Sched_resolve_pending]) all sit {e before} their commit point,
-      so a victim killed there has published nothing half-done, and
-      the death path resolves the current promise before the worker
+      so a victim killed there has published nothing half-done; a
+      death inside a task — run by the worker loop or nested by
+      helping — resolves every fiber on the worker's stack with the
+      death error, each through its own handler, before the worker
       dies;
    5. the post-join sweep loops until a full pass moves nothing:
       aborting a suspended fiber unwinds it ([discontinue]) and the
       unwind may reschedule continuations, which the next pass
-      claims. *)
+      claims;
+   6. the promise registry covers what no sweep can reach.  A ticket
+      routed through the injector can be lost by a killed enqueue or
+      a killed consumer, so its promise is registered at submit; a
+      continuation can be lost the same way, or parked on a promise
+      nobody resolves, so a fiber registers its own promise when it
+      suspends.  A ticket in a deque needs no entry: no kill window
+      follows a deque commit, and 3 and 5 reach it. *)
 
 (* The injector interface: the subset of [Wfq.Wfqueue] the runtime
    needs, declared so the same text instantiates on the production
@@ -94,12 +107,24 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
      documented crashed-consumer semantics lose the element the victim
      was consuming — and a killed [try_enqueue] can lose a ticket
      before it ever linearizes.  Those tickets are unreachable, so the
-     guarantee has to live at the promise level: every [async]
-     registers its promise here {e before} routing the ticket, and
-     [shutdown] resolves whatever is still pending once the sweep runs
-     dry.  Entries are scrubbed periodically so the registry tracks
-     in-flight tasks, not history. *)
-  type reg_entry = { pending : unit -> bool; backstop : unit -> bool }
+     guarantee has to live at the promise level: a promise is
+     registered wherever its ticket can be lost — before an [async]
+     routes it through the injector, and before a suspending fiber
+     adds its waiter — and [shutdown] resolves whatever is still
+     pending once the sweep runs dry.  An entry is the promise itself,
+     its result type hidden. *)
+  type reg_entry = Entry : ('a, exn) Core.Promise.t -> reg_entry
+
+  (* Per-task counters: one padded cell per worker, which only that
+     worker bumps, and one more ([pool_workers]) shared by every other
+     domain, so the per-task path writes no line a peer writes. *)
+  type slots = int Atomic.t array
+
+  let make_slots workers : slots =
+    Array.init (workers + 1) (fun _ -> Primitives.Padding.make_padded_atomic 0)
+
+  let bump (s : slots) i = ignore (Atomic.fetch_and_add s.(i) 1)
+  let sum (s : slots) = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 s
 
   type pool = {
     pname : string;
@@ -112,14 +137,17 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
        worker and a hot completion path do not false-share. *)
     live : int Atomic.t;
     deaths : int Atomic.t;
-    completed : int Atomic.t;
     exceptions : int Atomic.t;
     aborted : int Atomic.t;
-    spawned : int Atomic.t;
     steal_count : int Atomic.t;
+    spawned : slots;
+    completed : slots;
+    suspended : slots;  (** fibers parked by [Await] after helping, or by [Yield] *)
     registry : reg_entry list Atomic.t;  (** Treiber stack of live promises *)
-    reg_count : int Atomic.t;  (** submissions since creation, drives scrubbing *)
+    reg_count : int Atomic.t;  (** registrations since the last scrub *)
+    reg_due : int Atomic.t;  (** scrub when [reg_count] reaches this *)
     reg_lock : Mutex.t;  (** holds a scrub's batch and the shutdown scan apart *)
+    scrubbed : int Atomic.t;  (** probe tier: entries the scrubs examined *)
   }
 
   type t = {
@@ -135,9 +163,21 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
      belongs to.  One key per functor instantiation, so a
      [Scheduler_inject] worker is an external domain from
      [Scheduler]'s point of view and vice versa. *)
-  type ctx = { cpool : pool; cdeque : task Core.Deque.t; owner : t }
+  type ctx = {
+    cpool : pool;
+    cdeque : task Core.Deque.t;
+    owner : t;
+    slot : int;  (** this worker's counter slot in [cpool] *)
+    help_run : task -> unit;  (** how an await on this worker runs a ticket it pops *)
+  }
 
   let ctx_key : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+  (* The calling domain's counter slot in [pool]. *)
+  let slot_of pool =
+    match Domain.DLS.get ctx_key with
+    | Some c when c.cpool == pool -> c.slot
+    | _ -> pool.pool_workers
 
   type _ Effect.t +=
     | Await : ('a, exn) Core.Promise.t -> ('a, exn) result Effect.t
@@ -155,13 +195,13 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
     | won -> won
     | exception Inject.Killed _ -> resolve_hard prom r
 
-  (* The normal resolve: an injected kill in the commit window kills
+  (* A task's resolve: an injected kill in the commit window kills
      this worker, but only after the death handler resolves the
      still-pending promise with the death exception — the
      no-stranding contract for [Sched_resolve_pending]. *)
-  let resolve_counted prom r counter =
+  let complete pool prom r =
     match Core.Promise.try_resolve prom r with
-    | won -> if won then ignore (Atomic.fetch_and_add counter 1)
+    | won -> if won then bump pool.completed (slot_of pool)
     | exception (Inject.Killed _ as death) ->
       ignore (resolve_hard prom (Error death) : bool);
       raise death
@@ -176,17 +216,27 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
     in
     go ()
 
+  let entry_pending (Entry p) = not (Core.Promise.is_resolved p)
+
   (* Scrub resolved entries so the registry tracks in-flight promises,
-     not history.  [try_lock] keeps scrubs from stacking up; the lock is
-     held while the batch is detached so the shutdown scan (which takes
-     the same lock) can never run while live entries sit outside the
-     stack.  Survivors are merged back atomically on top of whatever
-     was pushed concurrently. *)
+     not history.  A scrub examines every entry, so it runs once the
+     registrations since the previous one reach max(64, that scrub's
+     survivors): its work stays within a constant factor of the
+     registrations even while entries pile up unresolved (a burst of
+     roots ahead of the workers), where a fixed period of 64 made it
+     quadratic.  [try_lock] keeps scrubs from stacking up; the lock is
+     held while the batch is detached so the shutdown scan (which
+     takes the same lock) can never run while live entries sit
+     outside the stack.  Survivors are merged back atomically on top
+     of whatever was pushed concurrently. *)
   let registry_scrub pool =
     if Mutex.try_lock pool.reg_lock then
       Fun.protect ~finally:(fun () -> Mutex.unlock pool.reg_lock) @@ fun () ->
+      Atomic.set pool.reg_count 0;
       let batch = Atomic.exchange pool.registry [] in
-      let live = List.filter (fun e -> e.pending ()) batch in
+      let live = List.filter entry_pending batch in
+      if P.enabled then ignore (Atomic.fetch_and_add pool.scrubbed (List.length batch));
+      Atomic.set pool.reg_due (max 64 (List.length live));
       let rec put () =
         let cur = Atomic.get pool.registry in
         if not (Atomic.compare_and_set pool.registry cur (List.rev_append live cur)) then put ()
@@ -194,23 +244,24 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
       if live <> [] then put ()
 
   let register_promise pool prom =
-    registry_push pool
-      {
-        pending = (fun () -> not (Core.Promise.is_resolved prom));
-        backstop =
-          (fun () ->
-            if resolve_hard prom (Error Shutdown) then begin
-              ignore (Atomic.fetch_and_add pool.aborted 1);
-              true
-            end
-            else false);
-      };
-    if Atomic.fetch_and_add pool.reg_count 1 land 63 = 63 then registry_scrub pool
+    registry_push pool (Entry prom);
+    if Atomic.fetch_and_add pool.reg_count 1 + 1 >= Atomic.get pool.reg_due then
+      registry_scrub pool
 
   (* ---------------------------------------------------------------- *)
   (* Ticket routing                                                   *)
 
   let run_ticket tk = ignore (Proto.claim_run tk : bool)
+
+  (* How an await on a worker runs the tickets it pops while helping.
+     A death propagates: out of the awaiting fiber, whose handler
+     resolves its promise with the death error, and so on down the
+     worker's stack to the worker loop.  Any other exception escaping
+     a ticket is counted, as the worker loop counts it. *)
+  let help_runner pool tk =
+    try run_ticket tk with
+    | (Abort_worker | Inject.Killed _) as death -> raise death
+    | _ -> ignore (Atomic.fetch_and_add pool.exceptions 1)
 
   (* Non-blocking admission for workers: [try_enqueue] plus the
      protocol's closed-under-our-feet re-check. *)
@@ -253,10 +304,43 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
   (* ---------------------------------------------------------------- *)
   (* Fibers                                                           *)
 
-  let handler pool : (unit, unit) Effect.Deep.handler =
+  (* A parked continuation as a claim-once ticket: resolution
+     re-schedules it, the shutdown sweep may instead abort it
+     (unwinding the fiber with [Shutdown]); the claim CAS makes the two
+     outcomes exclusive. *)
+  let resume_ticket k v =
+    Proto.ticket
+      ~run:(fun () -> Effect.Deep.continue k v)
+      ~abort:(fun () -> try Effect.Deep.discontinue k Shutdown with _ -> ())
+
+  (* What a root task's ticket, fiber and effect handler share; each
+     closure over it holds one word of environment.  Once [listed],
+     its promise stays in the registry until it resolves, so it is
+     registered at most once. *)
+  type 'a root = {
+    rpool : pool;
+    rprom : ('a, exn) Core.Promise.t;
+    body : unit -> 'a;
+    mutable listed : bool;
+  }
+
+  let list_root r =
+    if not r.listed then begin
+      r.listed <- true;
+      register_promise r.rpool r.rprom
+    end
+
+  (* A fiber about to park has its own promise registered first: from
+     here its continuation is a ticket the injector can lose, or a
+     waiter on a promise nobody resolves. *)
+  let suspend r =
+    bump r.rpool.suspended (slot_of r.rpool);
+    list_root r
+
+  (* One handler per task, since parking registers the task's own
+     promise. *)
+  let handler r : unit Effect.Deep.effect_handler =
     {
-      Effect.Deep.retc = (fun () -> ());
-      exnc = (fun e -> raise e);
       effc =
         (fun (type b) (eff : b Effect.t) ->
           match eff with
@@ -264,56 +348,46 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
             Some
               (fun (k : (b, unit) Effect.Deep.continuation) ->
                 match Core.Promise.poll p with
-                | Some r -> Effect.Deep.continue k r
+                | Some v -> Effect.Deep.continue k v
                 | None ->
-                  (* Park the continuation on the promise as a claim-once
-                     ticket: resolution re-schedules it, the shutdown
-                     sweep may instead abort it (unwinding the fiber
-                     with [Shutdown]); the claim CAS makes the two
-                     outcomes exclusive. *)
+                  suspend r;
                   ignore
-                    (Core.Promise.add_waiter p (fun r ->
-                         schedule pool
-                           (Proto.ticket
-                              ~run:(fun () -> Effect.Deep.continue k r)
-                              ~abort:(fun () ->
-                                try Effect.Deep.discontinue k Shutdown with _ -> ())))
+                    (Core.Promise.add_waiter p (fun v -> schedule r.rpool (resume_ticket k v))
                       : bool))
           | Yield ->
             Some
               (fun (k : (b, unit) Effect.Deep.continuation) ->
-                schedule pool
-                  (Proto.ticket
-                     ~run:(fun () -> Effect.Deep.continue k ())
-                     ~abort:(fun () -> try Effect.Deep.discontinue k Shutdown with _ -> ())))
+                suspend r;
+                schedule r.rpool (resume_ticket k ()))
           | _ -> None);
     }
 
-  let root_ticket pool prom f =
+  let run_root r =
+    match r.body () with
+    | v -> complete r.rpool r.rprom (Ok v)
+    | exception ((Abort_worker | Inject.Killed _) as death) ->
+      (* fault-drill / injected kill: resolve the promise so nothing
+         downstream is stranded, then still kill the worker that ran
+         us *)
+      ignore (resolve_hard r.rprom (Error death) : bool);
+      raise death
+    | exception e -> complete r.rpool r.rprom (Error e)
+
+  let abort_root r =
+    if resolve_hard r.rprom (Error Shutdown) then ignore (Atomic.fetch_and_add r.rpool.aborted 1)
+
+  let root_ticket r =
     Proto.ticket
-      ~run:(fun () ->
-        Effect.Deep.match_with
-          (fun () ->
-            match f () with
-            | v -> resolve_counted prom (Ok v) pool.completed
-            | exception ((Abort_worker | Inject.Killed _) as death) ->
-              (* fault-drill / injected kill: resolve the promise so
-                 nothing downstream is stranded, then still kill the
-                 worker that ran us *)
-              ignore (resolve_hard prom (Error death) : bool);
-              raise death
-            | exception e -> resolve_counted prom (Error e) pool.completed)
-          () (handler pool))
-      ~abort:(fun () ->
-        if resolve_hard prom (Error Shutdown) then
-          ignore (Atomic.fetch_and_add pool.aborted 1))
+      ~run:(fun () -> Effect.Deep.try_with run_root r (handler r))
+      ~abort:(fun () -> abort_root r)
 
   (* ---------------------------------------------------------------- *)
   (* Workers                                                          *)
 
   let worker_loop t pool slot () =
     let my = pool.deques.(slot) in
-    Domain.DLS.set ctx_key (Some { cpool = pool; cdeque = my; owner = t });
+    Domain.DLS.set ctx_key
+      (Some { cpool = pool; cdeque = my; owner = t; slot; help_run = help_runner pool });
     let h = Q.register pool.injector in
     (* Release the handle on every exit path — normal drain-out or
        death — so a dead worker never pins segment reclamation; its
@@ -422,14 +496,17 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
       pool_workers = workers;
       live = Primitives.Padding.make_padded_atomic workers;
       deaths = Primitives.Padding.make_padded_atomic 0;
-      completed = Primitives.Padding.make_padded_atomic 0;
       exceptions = Primitives.Padding.make_padded_atomic 0;
       aborted = Primitives.Padding.make_padded_atomic 0;
-      spawned = Primitives.Padding.make_padded_atomic 0;
       steal_count = Primitives.Padding.make_padded_atomic 0;
+      spawned = make_slots workers;
+      completed = make_slots workers;
+      suspended = make_slots workers;
       registry = Atomic.make [];
       reg_count = Primitives.Padding.make_padded_atomic 0;
+      reg_due = Atomic.make 64;
       reg_lock = Mutex.create ();
+      scrubbed = Atomic.make 0;
     }
 
   let default_pool_name = "default"
@@ -478,38 +555,39 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
   (* ---------------------------------------------------------------- *)
   (* Submission                                                       *)
 
-  let submit_root pool prom f =
-    let tk = root_ticket pool prom f in
-    ignore (Atomic.fetch_and_add pool.spawned 1);
-    (* Register before routing: if an injected kill loses the ticket
-       mid-enqueue (or a killed consumer later loses it mid-dequeue),
-       the promise is already covered by the shutdown backstop. *)
-    register_promise pool prom;
-    let reject () = invalid_arg "Sched.async: scheduler is shut down" in
+  (* The injector route, for a worker: register first, since from here
+     the ticket can be lost (a killed enqueue, or later a killed
+     consumer); non-blocking, because a worker is a consumer and must
+     never wait on the admission line it drains — at capacity the
+     ticket runs depth-first right now. *)
+  let submit_injected r tk =
+    list_root r;
+    match submit_nonblocking r.rpool tk with
+    | `Queued -> ()
+    | `Full -> run_ticket tk
+    | `Rejected -> invalid_arg "Sched.async: scheduler is shut down"
+
+  let submit_root pool prom body =
+    let r = { rpool = pool; rprom = prom; body; listed = false } in
+    let tk = root_ticket r in
     match Domain.DLS.get ctx_key with
     | Some c when c.cpool == pool ->
-      (* spawn: LIFO on our own deque; overflow to the injector;
-         injector at cap: run depth-first right now (never block a
-         worker) *)
-      if Core.Deque.push c.cdeque tk then Park.wake pool.park
-      else begin
-        match submit_nonblocking pool tk with
-        | `Queued -> ()
-        | `Full -> run_ticket tk
-        | `Rejected -> reject ()
-      end
-    | Some _ -> (
-      (* a worker of another pool (or scheduler): non-blocking, for
-         the same never-block-a-consumer reason *)
-      match submit_nonblocking pool tk with
-      | `Queued -> ()
-      | `Full -> run_ticket tk
-      | `Rejected -> reject ())
+      (* spawn: LIFO on our own deque, with no registry entry (no kill
+         window follows the push, and the deque stays reachable by
+         thieves and the sweep); overflow to the injector *)
+      bump pool.spawned c.slot;
+      if Core.Deque.push c.cdeque tk then Park.wake pool.park else submit_injected r tk
+    | Some _ ->
+      (* a worker of another pool (or scheduler) *)
+      bump pool.spawned pool.pool_workers;
+      submit_injected r tk
     | None -> (
       (* external domain: the blocking submit IS the backpressure — a
          bounded injector parks the submitter at the admission line *)
+      bump pool.spawned pool.pool_workers;
+      list_root r;
       match Proto.submit_ticket pool.proto (Q.domain_handle pool.injector) tk with
-      | Proto.Rejected -> reject ()
+      | Proto.Rejected -> invalid_arg "Sched.async: scheduler is shut down"
       | Proto.Accepted -> Park.wake pool.park
       | Proto.Aborted -> ())
 
@@ -571,12 +649,22 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
       Mutex.unlock m;
       r
 
-    (* On a fiber this suspends the fiber (the worker moves on to other
-       tasks); elsewhere it blocks the calling domain. *)
+    (* On a worker this first helps: it runs tickets from the worker's
+       own deque until [p] resolves ([Core.help]).  If the deque runs
+       dry first, a fiber suspends (the worker moves on to other
+       tasks); elsewhere the calling domain blocks. *)
     let result p =
       match Core.Promise.poll p with
       | Some r -> r
-      | None -> ( try Effect.perform (Await p) with Effect.Unhandled _ -> block p)
+      | None -> (
+        let helped =
+          match Domain.DLS.get ctx_key with
+          | Some c -> Core.help c.cdeque p c.help_run
+          | None -> None
+        in
+        match helped with
+        | Some r -> r
+        | None -> ( try Effect.perform (Await p) with Effect.Unhandled _ -> block p))
 
     let await p = match result p with Ok v -> v | Error e -> raise e
   end
@@ -608,20 +696,31 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
       live_workers = Atomic.get p.live;
       worker_deaths = Atomic.get p.deaths;
       task_exceptions = Atomic.get p.exceptions;
-      tasks_completed = Atomic.get p.completed;
+      tasks_completed = sum p.completed;
       aborted_promises = Atomic.get p.aborted;
-      tasks_spawned = Atomic.get p.spawned;
+      tasks_spawned = sum p.spawned;
       steals = Atomic.get p.steal_count;
       backlog = pool_backlog p;
     }
 
   let obs t = List.rev_map observe_pool (Atomic.get t.pools) (* default first *)
 
+  let over_pools t f = List.fold_left (fun acc p -> acc + f p) 0 (Atomic.get t.pools)
+
   (* Workers registered as sleepers, over all pools: after [shutdown]
      it must read 0, kills in the park window included. *)
-  let sleepers t = List.fold_left (fun acc p -> acc + Park.sleepers p.park) 0 (Atomic.get t.pools)
+  let sleepers t = over_pools t (fun p -> Park.sleepers p.park)
 
-  let pending t = List.fold_left (fun acc p -> acc + pool_backlog p) 0 (Atomic.get t.pools)
+  (* Fibers parked so far, over all pools: an [Await] whose promise
+     was still pending after helping, or a [Yield].  Kept in
+     production builds, since helping makes parking rare. *)
+  let suspensions t = over_pools t (fun p -> sum p.suspended)
+
+  (* Registry entries the scrubs examined, over all pools; probe
+     builds only (0 in production). *)
+  let scrub_examined t = over_pools t (fun p -> Atomic.get p.scrubbed)
+
+  let pending t = over_pools t pool_backlog
   let injector_snapshot t name = Q.snapshot (find_pool t name).injector
 
   (* ---------------------------------------------------------------- *)
@@ -699,7 +798,14 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
         Mutex.lock p.reg_lock;
         let batch = Atomic.exchange p.registry [] in
         Mutex.unlock p.reg_lock;
-        List.fold_left (fun acc e -> if e.backstop () then acc + 1 else acc) 0 batch
+        List.fold_left
+          (fun acc (Entry prom) ->
+            if resolve_hard prom (Error Shutdown) then begin
+              ignore (Atomic.fetch_and_add p.aborted 1);
+              acc + 1
+            end
+            else acc)
+          0 batch
       in
       let rec backstop () =
         let n = List.fold_left (fun acc p -> acc + backstop_pool p) 0 pools in

@@ -2,8 +2,8 @@
    work-stealing deques — as a functor over the atomic primitives, the
    observability probe and the fault injector, exactly like
    [Wfq.Wfqueue_algo]: [Simsched.Sim.Sched_core] instantiates this
-   text on the simsched shim and model-checks the steal-vs-pop and
-   resolve-vs-await races, while the production build
+   text on the simsched shim and model-checks the steal-vs-pop,
+   resolve-vs-await and help-vs-steal races, while the production build
    ([Sched.Scheduler]) compiles both tiers out.
 
    The deque closes the ROADMAP note that the SPMC ticket queue in
@@ -186,4 +186,21 @@ module Make (A : Wfq.Atomic_prims.S) (P : Obs.Probe.S) (I : Inject.S) = struct
           end
       end
   end
+
+  (* Help while waiting: before an owner suspends on [p], it pops
+     tickets from its own deque and runs them ([run] claims each one,
+     so a ticket a thief also reached still runs once).  In fork-join
+     the awaited child is usually still there, so the await finishes
+     inline instead of suspending.  [Some r] means [p] has resolved to
+     [r]; [None] means the deque ran dry first, and stays dry — only
+     its owner pushes — so the caller may suspend. *)
+  let rec help d p run =
+    match A.get p with
+    | Promise.Done r -> Some r
+    | Promise.Pending _ -> (
+      match Deque.pop d with
+      | Some tk ->
+        run tk;
+        help d p run
+      | None -> Promise.poll p)
 end

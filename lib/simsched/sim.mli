@@ -67,9 +67,10 @@ module Adaptive_router : module type of Shard.Router (Atomic_shim) (Adaptive_que
 
 module Sched_core :
     module type of Sched.Sched_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
-(** The scheduler's lock-free core — promises and the Chase–Lev
-    work-stealing deque — on simulated atomics: the steal-vs-pop and
-    resolve-vs-await races explored by test/test_sched.ml run here. *)
+(** The scheduler's lock-free core — promises, the Chase–Lev
+    work-stealing deque and the help-while-waiting loop — on simulated
+    atomics: the steal-vs-pop, resolve-vs-await and help-vs-steal races
+    explored by test/test_sched.ml run here. *)
 
 type stats = {
   scheduling_decisions : int;

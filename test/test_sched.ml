@@ -1,17 +1,18 @@
 (* Tests for the effects-based task scheduler (lib/sched).
 
    Three layers, mirroring how the subsystem is built:
-   - the lock-free core (promises + Chase–Lev deque) and the
-     admission/shutdown/drain protocol model-checked on the simsched
-     shim: exhaustive preemption-bounded exploration and ≥500-seed
-     random sweeps of the steal-vs-pop, resolve-vs-await and
-     submit-vs-shutdown races, plus seeded kill storms at the new
-     injection points;
+   - the lock-free core (promises + Chase–Lev deque + the help loop)
+     and the admission/shutdown/drain protocol model-checked on the
+     simsched shim: exhaustive preemption-bounded exploration and
+     ≥500-seed random sweeps of the steal-vs-pop, resolve-vs-await,
+     help-vs-steal and submit-vs-shutdown races, plus seeded kill
+     storms at the new injection points;
    - the runtime on real domains (Sched.Scheduler): fan-out/fan-in,
      micropools, external submitters, worker death, shutdown
-     stranding;
-   - the storm build (Sched.Scheduler_inject): seeded kill plans over
-     the queue and scheduler windows, asserting zero stranded
+     stranding, awaits that help instead of parking;
+   - the storm build (Sched.Scheduler_inject): which promises the
+     registry must hold, what its scrubs cost, and seeded kill plans
+     over the queue and scheduler windows, asserting zero stranded
      promises. *)
 
 let check = Alcotest.check
@@ -431,6 +432,91 @@ let test_protocol_seed_sweep () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Help while waiting: an owner awaiting a fan-in vs a thief          *)
+
+(* The await path of the runtime on the shipped text: an owner pushes a
+   two-child fan-in as [Sched_protocol] tickets onto its deque, then
+   awaits each child through [SC.help], while one thief steals and runs
+   what it can through the same claim.  Each child must run exactly
+   once; [help] may answer [Some r] only once the awaited promise holds
+   [r], and [None] only with the owner's deque empty — the state in
+   which the runtime parks the awaiting fiber. *)
+type help_state = {
+  hd : SP.ticket Deque.t;
+  kids : (int, int) Promise.t array;
+  runs : int array;
+  violations : string list ref;
+}
+
+let make_help_state () =
+  {
+    hd = Deque.create ~capacity:16 ();
+    kids = Array.init 2 (fun _ -> Promise.create ());
+    runs = Array.make 2 0;
+    violations = ref [];
+  }
+
+let help_fibers st ~attempts =
+  let violate fmt = Printf.ksprintf (fun m -> st.violations := m :: !(st.violations)) fmt in
+  let child i =
+    SP.ticket
+      ~run:(fun () ->
+        st.runs.(i) <- st.runs.(i) + 1;
+        ignore (Promise.try_resolve st.kids.(i) (Ok i) : bool))
+      ~abort:(fun () -> violate "child %d aborted" i)
+  in
+  let run tk = ignore (SP.claim_run tk : bool) in
+  let owner () =
+    for i = 0 to 1 do
+      ignore (Deque.push st.hd (child i) : bool)
+    done;
+    for i = 0 to 1 do
+      match SC.help st.hd st.kids.(i) run with
+      | Some r ->
+        if r <> Ok i || Promise.poll st.kids.(i) <> Some r then
+          violate "help answered child %d before it resolved" i
+      | None -> if Deque.length st.hd <> 0 then violate "help gave up on child %d with work queued" i
+    done
+  in
+  let thief () =
+    for _ = 1 to attempts do
+      match Deque.steal st.hd with Some tk -> run tk | None -> ()
+    done
+  in
+  [| owner; thief |]
+
+let help_check st ~ident =
+  (match !(st.violations) with
+  | [] -> ()
+  | v :: _ -> Alcotest.failf "%s: %s" ident v);
+  Array.iteri
+    (fun i n -> if n <> 1 then Alcotest.failf "%s: child %d ran %d times" ident i n)
+    st.runs
+
+let test_help_explore () =
+  let state = ref None in
+  let r =
+    Sim.explore ~max_schedules:200_000 ~preemptions:2
+      ~make_fibers:(fun () ->
+        let st = make_help_state () in
+        state := Some st;
+        help_fibers st ~attempts:3)
+      ~check:(fun () -> help_check (Option.get !state) ~ident:"help vs steal")
+      ()
+  in
+  if r.Sim.truncated_runs > 0 then Alcotest.fail "truncated schedules";
+  check Alcotest.bool "space exhausted" true r.Sim.exhausted;
+  check Alcotest.bool "non-trivial space" true (r.Sim.schedules > 100)
+
+let test_help_seed_sweep () =
+  for seed = 1 to 600 do
+    let st = make_help_state () in
+    let stats = Sim.run ~seed:(Int64.of_int seed) (help_fibers st ~attempts:4) in
+    if stats.Sim.max_steps_hit then Alcotest.failf "seed %d: step limit" seed;
+    help_check st ~ident:(Printf.sprintf "seed %d" seed)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Park / wake handshake (simulated)                                  *)
 
 (* The eventcount idle workers sleep on ([Sched.Sched_park.Make]), the
@@ -616,9 +702,10 @@ let test_async_await () =
 
 let test_fan_out_fan_in () =
   (* each root spawns children from inside its fiber and awaits them:
-     the await suspends the fiber and the worker moves on — with 3
-     workers and 40 roots this deadlocks in under a second unless
-     suspension really releases the worker *)
+     the await runs the children still in the worker's deque, and
+     suspends the fiber on a stolen one while the worker moves on —
+     with 3 workers and 40 roots this deadlocks in under a second
+     unless suspension really releases the worker *)
   with_sched ~workers:3 (fun t ->
       let roots =
         List.init 40 (fun r ->
@@ -806,6 +893,33 @@ let test_finished_task_releases_closure () =
       Gc.full_major ();
       check Alcotest.bool "captured buffer collected" false (Weak.check watch 0))
 
+let test_fib_never_suspends () =
+  (* With one worker every awaited child is still in that worker's
+     deque, so the await runs it inline and no fiber parks.  Without
+     helping, each of fib 15's 986 awaits parked its fiber. *)
+  with_sched ~workers:1 (fun t ->
+      let rec fib n =
+        if n < 2 then n else S.Promise.await (S.async t (fun () -> fib (n - 1))) + fib (n - 2)
+      in
+      check Alcotest.bool "fib 15" true (S.Promise.result (S.async t (fun () -> fib 15)) = Ok 610);
+      check Alcotest.int "suspensions" 0 (S.suspensions t))
+
+let test_deep_chain () =
+  (* Each level spawns the next and awaits it.  On one worker, helping
+     nests 10^5 inline runs, each on its own fiber stack; on two, steals
+     mix parked levels into the chain. *)
+  let depth = 100_000 in
+  List.iter
+    (fun workers ->
+      with_sched ~workers (fun t ->
+          let rec chain n =
+            if n = 0 then 0 else 1 + S.Promise.await (S.async t (fun () -> chain (n - 1)))
+          in
+          match S.Promise.result (S.async t (fun () -> chain depth)) with
+          | Ok d -> check Alcotest.int (Printf.sprintf "depth on %d worker(s)" workers) depth d
+          | Error e -> Alcotest.failf "%d worker(s): %s" workers (Printexc.to_string e)))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* The default pool seen from outside: external submitters            *)
 
@@ -902,6 +1016,8 @@ let test_storm_kill_fan_out () =
   let n_roots = 40 and n_kids = 4 in
   for seed = 1 to 12 do
     let t = SI.create ~workers:4 () in
+    (* every subtask's promise too, filled in by the roots that ran *)
+    let kids_of = Array.make n_roots [] in
     let plan = Inject.Plan.make ~lethal:true ~seed:(Int64.of_int (seed * 7919)) () in
     (* victims are the worker domains; the driver (this domain) must
        survive to audit, exactly like the repro storm drivers *)
@@ -914,6 +1030,7 @@ let test_storm_kill_fan_out () =
                   let kids =
                     List.init n_kids (fun k -> SI.async t (fun () -> (r * n_kids) + k))
                   in
+                  kids_of.(r) <- kids;
                   List.fold_left
                     (fun acc kid ->
                       match SI.Promise.result kid with Ok v -> acc + v | Error _ -> acc)
@@ -945,7 +1062,16 @@ let test_storm_kill_fan_out () =
               ()
             | Some (Error e) ->
               Alcotest.failf "seed %d: root %d unexpected %s" seed i (Printexc.to_string e))
-          roots)
+          roots;
+        Array.iteri
+          (fun r kids ->
+            List.iteri
+              (fun k p ->
+                if not (SI.Promise.is_resolved p) then
+                  Alcotest.failf "seed %d: subtask %d of root %d stranded (%s)" seed k r
+                    (Inject.Plan.describe plan))
+              kids)
+          kids_of)
   done
 
 let test_storm_park_fan_out () =
@@ -981,6 +1107,98 @@ let test_storm_park_fan_out () =
           0 (SI.sleepers t))
   done
 
+(* ------------------------------------------------------------------ *)
+(* The registry: which promises it must hold, and what scrubbing costs *)
+
+(* A root spawns a child that parks on an external gate, then awaits
+   the child, on one worker of the storm build.  Returns once both
+   fibers are parked: the child has started and the worker has gone
+   back to sleep. *)
+let parked_on_gate () =
+  let t = SI.create ~workers:1 () in
+  let gate : int SI.Promise.t = SI.Promise.create () in
+  let started = Atomic.make false and child = Atomic.make None in
+  let root =
+    SI.async t (fun () ->
+        let c =
+          SI.async t (fun () ->
+              Atomic.set started true;
+              SI.Promise.await gate + 1)
+        in
+        Atomic.set child (Some c);
+        SI.Promise.await c + 1)
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while not (Atomic.get started && SI.sleepers t > 0) do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "the fan-in never parked";
+    Unix.sleepf 0.001
+  done;
+  (t, gate, root, Option.get (Atomic.get child))
+
+let check_shut_down what p =
+  match SI.Promise.poll p with
+  | Some (Error SI.Shutdown) -> ()
+  | Some (Ok v) -> Alcotest.failf "%s: Ok %d, want Error Shutdown" what v
+  | Some (Error e) -> Alcotest.failf "%s: %s, want Error Shutdown" what (Printexc.to_string e)
+  | None -> Alcotest.failf "%s stranded" what
+
+let test_registry_lost_continuation () =
+  (* The test domain resolves the gate, so the child's continuation
+     takes the injector route; killing this domain at that enqueue's
+     first window loses it.  The child registered its promise when it
+     parked, so shutdown still resolves it, and the root with it. *)
+  let t, gate, root, child = parked_on_gate () in
+  let me = Domain.self () in
+  let killed = ref false in
+  Inject.with_controller
+    (fun p ->
+      if p = Inject.Enq_fast_after_faa && Domain.self () = me && not !killed then begin
+        killed := true;
+        Inject.Die
+      end
+      else Inject.Continue)
+    (fun () -> try ignore (SI.Promise.resolve gate 41 : bool) with Inject.Killed _ -> ());
+  check Alcotest.bool "the continuation's enqueue was killed" true !killed;
+  SI.shutdown t;
+  check_shut_down "child" child;
+  check_shut_down "root" root
+
+let test_registry_parked_forever () =
+  (* Nobody resolves the gate: the parked child is reachable only
+     through the registry. *)
+  let t, _gate, root, child = parked_on_gate () in
+  SI.shutdown t;
+  check_shut_down "child" child;
+  check_shut_down "root" root
+
+let test_registry_scrub_linear () =
+  (* A burst of external roots against a held worker: every entry
+     stays pending, so rescanning them all at a fixed period examines
+     about n^2/128 entries.  Scrubbing once the registrations since the
+     last scrub reach its survivors keeps the total linear. *)
+  let n = 100_000 in
+  let t = SI.create ~workers:1 () in
+  let held = Atomic.make false and release = Atomic.make false in
+  let hold =
+    SI.async t (fun () ->
+        Atomic.set held true;
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done)
+  in
+  while not (Atomic.get held) do
+    Domain.cpu_relax ()
+  done;
+  let roots = Array.init n (fun i -> SI.async t (fun () -> i)) in
+  Atomic.set release true;
+  check Alcotest.bool "held root" true (SI.Promise.result hold = Ok ());
+  Array.iteri (fun i p -> if SI.Promise.result p <> Ok i then Alcotest.failf "root %d" i) roots;
+  SI.shutdown t;
+  (* the registrations: the held root and the burst, all external *)
+  let registered = n + 1 and examined = SI.scrub_examined t in
+  if examined > 4 * registered then
+    Alcotest.failf "scrubs examined %d entries for %d registrations" examined registered
+
 let () =
   Alcotest.run "sched"
     [
@@ -995,6 +1213,11 @@ let () =
         [
           Alcotest.test_case "resolve race: exhaustive" `Quick test_promise_explore_resolve_race;
           Alcotest.test_case "resolve vs await: 600-seed sweep" `Quick test_promise_seed_sweep;
+        ] );
+      ( "help",
+        [
+          Alcotest.test_case "owner helps vs thief: exhaustive" `Quick test_help_explore;
+          Alcotest.test_case "owner helps vs thief: 600-seed sweep" `Quick test_help_seed_sweep;
         ] );
       ( "kill storms",
         [
@@ -1030,6 +1253,8 @@ let () =
             test_no_strand_after_all_workers_die;
           Alcotest.test_case "finished task's closure is collectable" `Quick
             test_finished_task_releases_closure;
+          Alcotest.test_case "fib 15 on one worker never suspends" `Quick test_fib_never_suspends;
+          Alcotest.test_case "10^5-deep spawn/await chain" `Quick test_deep_chain;
         ] );
       ( "pool",
         [
@@ -1037,6 +1262,14 @@ let () =
           Alcotest.test_case "worker survives exception" `Quick test_exception_does_not_kill_worker;
           Alcotest.test_case "poll" `Quick test_poll;
           Alcotest.test_case "many submitters" `Quick test_submitters_from_many_domains;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "continuation lost to a killed enqueue" `Quick
+            test_registry_lost_continuation;
+          Alcotest.test_case "child parked on a gate nobody resolves" `Quick
+            test_registry_parked_forever;
+          Alcotest.test_case "scrub work linear in registrations" `Quick test_registry_scrub_linear;
         ] );
       ( "adversity",
         [ Alcotest.test_case "shutdown under load strands nothing" `Quick test_shutdown_under_load ]
