@@ -9,9 +9,7 @@
      repro latency                   per-operation latency tails
      repro stats                     fast/slow-path telemetry
      repro inject                    fault-injection storm on the queue
-     repro shard                     sharded-router batch storm
      repro bounded                   bounded-memory spike storm
-     repro topology                  specialized-variant role storms
      repro sched                     task-scheduler fan-out/fan-in storm
      repro list | repro all          enumerate queues / run everything
 
@@ -275,8 +273,8 @@ let faults_term ~victims =
 
 let ops_arg ~default doc = Arg.(value & opt positive default & info [ "ops" ] ~docv:"N" ~doc)
 
-let domains_arg ?(range = thread_count) name ~default doc =
-  Arg.(value & opt range default & info [ name ] ~docv:"N" ~doc)
+let domains_arg name ~default doc =
+  Arg.(value & opt thread_count default & info [ name ] ~docv:"N" ~doc)
 
 let storm title subject shape ~domains ~ops faults =
   Printf.printf "%s: %d domains%s (%d victims), %d values per producer\n  plan: %s\n%!" title
@@ -313,43 +311,6 @@ let inject_cmd =
       const run
       $ domains_arg "threads" ~default:8 "Storm domains."
       $ ops_arg ~default:20_000 "Enqueue/dequeue pairs per domain."
-      $ faults_term ~victims:true)
-
-let shard_cmd =
-  let module R = Shard.Storm in
-  let run shards batch threads ops bounded faults =
-    let t = R.create ~shards ?capacity:bounded ~rebalance_every:64 () in
-    storm
-      (Printf.sprintf "Shard storm [%d shards, batch %d%s]" shards batch
-         (match bounded with Some c -> Printf.sprintf ", bounded at %d/shard" c | None -> ""))
-      (Storm.subject ~batch
-         ~footprint:(fun fmt ->
-           Format.fprintf fmt "Per-shard breakdown:@.%a" R.pp_snapshot_table t)
-         (fun () ->
-           let h = R.register t in
-           {
-             Storm.enqueue = R.enq_batch t h;
-             dequeue = (fun buf -> R.deq_batch_into t h buf ~default:(-1));
-             retire = (fun () -> R.retire t h);
-           }))
-      Pairs ~domains:threads ~ops faults
-  in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:
-         "Sharded-router storm: N shards exchanging k-value FAA batches across domains, \
-          optionally bounded, under fault injection (batch windows included)")
-    Term.(
-      const run
-      $ Arg.(value & opt positive 4 & info [ "shards" ] ~docv:"S" ~doc:"Router shards.")
-      $ Arg.(value & opt positive 4 & info [ "batch" ] ~docv:"K" ~doc:"Values per batch operation.")
-      $ domains_arg "threads" ~default:8 "Storm domains."
-      $ ops_arg ~default:20_000 "Values enqueued per domain."
-      $ Arg.(
-          value
-          & opt (some positive) None
-          & info [ "bounded" ] ~docv:"CAP"
-              ~doc:"Bound each shard at $(docv) values (backpressure mode).")
       $ faults_term ~victims:true)
 
 let bounded_cmd =
@@ -425,69 +386,6 @@ let bounded_cmd =
           value & opt segment_cap 12
           & info [ "cap" ] ~docv:"SEGMENTS" ~doc:"Hard segment cap (wf-bounded only; at least 6).")
       $ ops_arg ~default:10_000 "Values per producer."
-      $ faults_term ~victims:true)
-
-(* Role-split storm on the injectable topology variants, laid out to
-   each variant's contract: spsc 1p/1c, mpsc (N-1)p/1c, spmc 1p/(N-1)c;
-   adaptive runs all-pairs so every domain's first dequeue forces the
-   degrade switches. *)
-let topology_cmd =
-  let single register enqueue dequeue_or retire footprint =
-    Storm.subject ~footprint (fun () ->
-        let h = register () in
-        Storm.single ~enqueue:(enqueue h) ~dequeue_or:(dequeue_or h) ~retire:(fun () -> retire h))
-  in
-  let snapshot s fmt = Obs.Snapshot.pp fmt s in
-  let run variant threads ops faults =
-    let shape, domains, subject =
-      match variant with
-      | "spsc" ->
-        let module Q = Topology.Spsc_inject in
-        let q = Q.create () in
-        ( Storm.Split 1,
-          2,
-          single (fun () -> Q.register q) (Q.enqueue q) (Q.dequeue_or q) (Q.retire q) (fun fmt ->
-              snapshot (Q.snapshot q) fmt) )
-      | "mpsc" ->
-        let module Q = Topology.Mpsc_inject in
-        let q = Q.create () in
-        ( Split (threads - 1),
-          threads,
-          single (fun () -> Q.register q) (Q.enqueue q) (Q.dequeue_or q) (Q.retire q) (fun fmt ->
-              snapshot (Q.snapshot q) fmt) )
-      | "spmc" ->
-        let module Q = Topology.Spmc_inject in
-        let q = Q.create () in
-        ( Split 1,
-          threads,
-          single (fun () -> Q.register q) (Q.enqueue q) (Q.dequeue_or q) (Q.retire q) (fun fmt ->
-              snapshot (Q.snapshot q) fmt) )
-      | _ ->
-        let module Q = Topology.Adaptive_inject in
-        let q = Q.create () in
-        ( Pairs,
-          threads,
-          single (fun () -> Q.register q) (Q.enqueue q) (Q.dequeue_or q) (Q.retire q) (fun fmt ->
-              Format.fprintf fmt "adaptive backend: %s after %d switch(es)@.%a" (Q.mode q)
-                (Q.switches q) Obs.Snapshot.pp (Q.snapshot q)) )
-    in
-    storm (Printf.sprintf "Topology storm [%s]" variant) subject shape ~domains ~ops faults
-  in
-  Cmd.v
-    (Cmd.info "topology"
-       ~doc:
-         "Role-split storm on a specialized topology variant (or the adaptive queue), under fault \
-          injection at the Topology-class protocol points")
-    Term.(
-      const run
-      $ Arg.(
-          value
-          & opt (enum (List.map (fun v -> (v, v)) [ "spsc"; "mpsc"; "spmc"; "adaptive" ]))
-              "adaptive"
-          & info [ "variant" ] ~docv:"V" ~doc:"Variant: spsc, mpsc, spmc or adaptive.")
-      $ domains_arg ~range:(int_range ~hi:Harness.Runner.max_threads 2) "threads" ~default:4
-          "Storm domains (at least 2; spsc always runs 2)."
-      $ ops_arg ~default:20_000 "Values enqueued per producer."
       $ faults_term ~victims:true)
 
 (* Fan-out/fan-in storm on the effects-based task scheduler: R root
@@ -637,8 +535,8 @@ let () =
     Cmd.info "repro" ~version:"1.0.0"
       ~doc:
         "Reproduce the evaluation of 'A Wait-free Queue as Fast as Fetch-and-Add' (PPoPP'16): \
-         tables, figures and ablations, plus live storm drivers (inject, shard, bounded, \
-         topology, sched) for the subsystems built on the queue"
+         tables, figures and ablations, plus live storm drivers (inject, bounded, sched) \
+         for the subsystems built on the queue"
   in
   (* Cmdliner signals CLI parse errors — unknown subcommand included —
      with its own exit 124; scripts expect the conventional usage
@@ -657,9 +555,7 @@ let () =
             latency_cmd;
             stats_cmd;
             inject_cmd;
-            shard_cmd;
             bounded_cmd;
-            topology_cmd;
             sched_cmd;
             list_cmd;
             all_cmd;

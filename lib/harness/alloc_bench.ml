@@ -119,12 +119,6 @@ let default_rows ?warmup_pairs ?pairs () =
     measure ?warmup_pairs ?pairs ~via_dequeue_or:true (Queues.wf_int ~patience:10 ());
     (* the caller-buffer batch API: zero words for the whole round trip *)
     measure_batch_into ?warmup_pairs ?pairs ();
-    (* the specialized topology variants: each must hold the same zero *)
-    measure ?warmup_pairs ?pairs ~via_dequeue_or:true (Queues.wf_spsc ());
-    measure ?warmup_pairs ?pairs ~via_dequeue_or:true (Queues.wf_mpsc ());
-    measure ?warmup_pairs ?pairs ~via_dequeue_or:true (Queues.wf_spmc ());
-    (* adaptive shards: single-handle steady state stays on SPSC *)
-    measure ?warmup_pairs ?pairs ~via_dequeue_or:true (Queues.wf_shard_adaptive ());
     (* bounded-memory mode: the cap bookkeeping (admission reads, the
        budget FAA, pool recycling) must add no words per operation *)
     measure ?warmup_pairs ?pairs ~via_dequeue_or:true

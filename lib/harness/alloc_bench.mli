@@ -40,7 +40,6 @@ val measure_batch_into : ?warmup_pairs:int -> ?pairs:int -> ?batch:int -> unit -
 
 val default_rows : ?warmup_pairs:int -> ?pairs:int -> unit -> row list
 (** The pinned set: wf-10 (option API), wf-10-deq-or, wf-10-obs-deq-or,
-    wf-int-10, wf-10-deq-batch-into-64, the topology variants
-    (wf-spsc, wf-mpsc, wf-spmc, wf-shard-adaptive), wf-bounded-deq-or
-    and scq-deq-or.  Every [dequeue_or] row must hold the hot-path
+    wf-int-10, wf-10-deq-batch-into-64, wf-bounded-deq-or and
+    scq-deq-or.  Every [dequeue_or] row must hold the hot-path
     zero. *)

@@ -136,36 +136,6 @@ let wf_int ?(patience = 10) ?segment_shift ?max_garbage ?reclamation ?name () =
         });
   }
 
-(* Sharded router over production queues: the d-bounded relaxed-FIFO
-   deployment shape.  One factory per shard count so the bench tables
-   show the scaling curve. *)
-let wf_shard ?(shards = 2) ?(patience = 10) ?capacity ?rebalance_every ?name () =
-  let name = match name with Some n -> n | None -> Printf.sprintf "wf-shard-%d" shards in
-  {
-    name;
-    description =
-      Printf.sprintf "sharded router over %d wait-free queues (relaxed FIFO%s)" shards
-        (match capacity with None -> "" | Some c -> Printf.sprintf ", bounded %d/shard" c);
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let t = Shard.Wf.create ~shards ?capacity ?rebalance_every ~patience () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Shard.Wf.register t in
-              make_ops
-                ~enqueue:(fun v -> Shard.Wf.enqueue t h v)
-                ~dequeue:(fun () -> Shard.Wf.dequeue t h)
-                ~release:(fun () -> Shard.Wf.retire t h)
-                ());
-          op_stats = (fun () -> Some (Shard.Wf.snapshot t).Obs.Snapshot.ops);
-          reset_op_stats = (fun () -> Shard.Wf.reset_stats t);
-          snapshot = (fun () -> Some (Shard.Wf.snapshot t));
-        });
-  }
-
 (* One wait-free queue driven through the k-cell batch operations,
    with client-side buffering: enqueues coalesce into one tail FAA per
    [batch] values, dequeues prefetch up to [batch] values per head
@@ -234,129 +204,6 @@ let wf_batch ?(batch = 8) ?(patience = 10) ?name () =
           op_stats = (fun () -> Some (Wfq.Wfqueue.stats q));
           reset_op_stats = (fun () -> Wfq.Wfqueue.reset_stats q);
           snapshot = (fun () -> Some (Wfq.Wfqueue.snapshot q));
-        });
-  }
-
-(* The specialized topology variants.  A bench [ops] uses one handle
-   for both roles, which every variant permits (the role claims are
-   per-handle, and a retire releases them), so the single-threaded
-   pair and the alloc probe are legal on all of them.  They are
-   registered in [all] — and deliberately NOT in [figure2_set]: the
-   multi-thread pairs workload would put several producers and
-   consumers on one queue, which is exactly the contract these
-   variants check and reject.  Role-correct multi-domain runs are
-   [repro topology]'s storm subjects over [Harness.Storm]. *)
-
-let wf_spsc ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name = match name with Some n -> n | None -> "wf-spsc" in
-  {
-    name;
-    description = "specialized SPSC variant (no FAA, no CAS; single producer+consumer)";
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Topology.Spsc.create ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Topology.Spsc.register q in
-              make_ops
-                ~enqueue:(fun v -> Topology.Spsc.enqueue q h v)
-                ~dequeue:(fun () -> Topology.Spsc.dequeue q h)
-                ~dequeue_or:(fun d -> Topology.Spsc.dequeue_or q h d)
-                ~release:(fun () -> Topology.Spsc.retire q h)
-                ());
-          op_stats = (fun () -> Some (Topology.Spsc.snapshot q).Obs.Snapshot.ops);
-          reset_op_stats = (fun () -> Topology.Spsc.reset_stats q);
-          snapshot = (fun () -> Some (Topology.Spsc.snapshot q));
-        });
-  }
-
-let wf_mpsc ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name = match name with Some n -> n | None -> "wf-mpsc" in
-  {
-    name;
-    description = "specialized MPSC variant (Jiffy-style: FAA tail, CAS-free single consumer)";
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Topology.Mpsc.create ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Topology.Mpsc.register q in
-              make_ops
-                ~enqueue:(fun v -> Topology.Mpsc.enqueue q h v)
-                ~dequeue:(fun () -> Topology.Mpsc.dequeue q h)
-                ~dequeue_or:(fun d -> Topology.Mpsc.dequeue_or q h d)
-                ~release:(fun () -> Topology.Mpsc.retire q h)
-                ());
-          op_stats = (fun () -> Some (Topology.Mpsc.snapshot q).Obs.Snapshot.ops);
-          reset_op_stats = (fun () -> Topology.Mpsc.reset_stats q);
-          snapshot = (fun () -> Some (Topology.Mpsc.snapshot q));
-        });
-  }
-
-let wf_spmc ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name = match name with Some n -> n | None -> "wf-spmc" in
-  {
-    name;
-    description = "specialized SPMC variant (FAA head tickets, CAS-free single producer)";
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Topology.Spmc.create ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Topology.Spmc.register q in
-              make_ops
-                ~enqueue:(fun v -> Topology.Spmc.enqueue q h v)
-                ~dequeue:(fun () -> Topology.Spmc.dequeue q h)
-                ~dequeue_or:(fun d -> Topology.Spmc.dequeue_or q h d)
-                ~release:(fun () -> Topology.Spmc.retire q h)
-                ());
-          op_stats = (fun () -> Some (Topology.Spmc.snapshot q).Obs.Snapshot.ops);
-          reset_op_stats = (fun () -> Topology.Spmc.reset_stats q);
-          snapshot = (fun () -> Some (Topology.Spmc.snapshot q));
-        });
-  }
-
-(* Sharded router over topology-adaptive shards.  Safe in any
-   workload (it degrades to the general queue once roles multiply),
-   so unlike the raw variants it joins [figure2_set] too.  Note the
-   role counters are monotone: the bechamel allocate/free cycle
-   registers a fresh handle per run, so after the first cycle the
-   shards degrade and the measured steady state is the general
-   backend plus the dispatch overhead — the honest deployment number
-   for handle-churning callers. *)
-let wf_shard_adaptive ?(shards = 2) ?capacity ?rebalance_every ?name () =
-  let name = match name with Some n -> n | None -> "wf-shard-adaptive" in
-  {
-    name;
-    description =
-      Printf.sprintf "sharded router over %d topology-adaptive shards (relaxed FIFO)" shards;
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let t = Shard.Adaptive.create ~shards ?capacity ?rebalance_every () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Shard.Adaptive.register t in
-              make_ops
-                ~enqueue:(fun v -> Shard.Adaptive.enqueue t h v)
-                ~dequeue:(fun () -> Shard.Adaptive.dequeue t h)
-                ~dequeue_or:(fun d -> Shard.Adaptive.dequeue_or t h d)
-                ~release:(fun () -> Shard.Adaptive.retire t h)
-                ());
-          op_stats = (fun () -> Some (Shard.Adaptive.snapshot t).Obs.Snapshot.ops);
-          reset_op_stats = (fun () -> Shard.Adaptive.reset_stats t);
-          snapshot = (fun () -> Some (Shard.Adaptive.snapshot t));
         });
   }
 
@@ -523,13 +370,7 @@ let all =
     wf ~patience:0 ();
     wf_obs ~patience:10 ();
     wf_int ~patience:10 ();
-    wf_shard ~shards:2 ();
-    wf_shard ~shards:8 ();
     wf_batch ~batch:8 ();
-    wf_spsc ();
-    wf_mpsc ();
-    wf_spmc ();
-    wf_shard_adaptive ();
     wf_bounded ();
     wf_llsc;
     scq ();
@@ -547,10 +388,7 @@ let figure2_set =
     wf ~patience:10 ();
     wf ~patience:0 ();
     wf_int ~patience:10 ();
-    wf_shard ~shards:2 ();
-    wf_shard ~shards:8 ();
     wf_batch ~batch:8 ();
-    wf_shard_adaptive ();
     wf_bounded ();
     scq ();
     lcrq ();

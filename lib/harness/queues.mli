@@ -65,18 +65,6 @@ val wf_int : ?patience:int -> ?segment_shift:int -> ?max_garbage:int -> ?reclama
     [dequeue_or] (EMPTY = [min_int]).  Its delta against {!wf} prices
     the generic API's option box. *)
 
-val wf_shard :
-  ?shards:int ->
-  ?patience:int ->
-  ?capacity:int ->
-  ?rebalance_every:int ->
-  ?name:string ->
-  unit ->
-  factory
-(** Sharded router ([Shard.Wf]) over [shards] production queues:
-    d-bounded relaxed FIFO, optionally bounded at [capacity] values
-    per shard.  [op_stats]/[snapshot] fold the per-shard telemetry. *)
-
 val wf_batch : ?batch:int -> ?patience:int -> ?name:string -> unit -> factory
 (** One production queue driven through [enq_batch]/[deq_batch] with a
     client-side buffering facade: one tail FAA per [batch] enqueues,
@@ -84,38 +72,6 @@ val wf_batch : ?batch:int -> ?patience:int -> ?name:string -> unit -> factory
     per-handle buffer until the next dequeue or [release] flushes
     them, so cross-thread visibility is batch-delayed — the documented
     trade of the batching deployment shape. *)
-
-val wf_spsc :
-  ?segment_shift:int -> ?max_garbage:int -> ?reclamation:bool -> ?name:string -> unit -> factory
-(** The specialized SPSC variant ([Topology.Spsc]): plain load/store
-    cell handshake, no FAA or CAS on the hot path.  The single bench
-    handle legally holds both roles; a concurrent second producer or
-    consumer would be rejected by the role claim, so this factory is
-    in {!all} (single-threaded pair) but not {!figure2_set} — its
-    role-correct multi-domain runs are [repro topology]'s storms. *)
-
-val wf_mpsc :
-  ?segment_shift:int -> ?max_garbage:int -> ?reclamation:bool -> ?name:string -> unit -> factory
-(** The specialized MPSC variant ([Topology.Mpsc]): FAA-ticketed
-    producers, CAS-free single consumer.  Same registration rules as
-    {!wf_spsc}. *)
-
-val wf_spmc :
-  ?segment_shift:int -> ?max_garbage:int -> ?reclamation:bool -> ?name:string -> unit -> factory
-(** The specialized SPMC variant ([Topology.Spmc]): FAA-ticketed
-    consumers, CAS-free single producer.  Same registration rules as
-    {!wf_spsc}. *)
-
-val wf_shard_adaptive :
-  ?shards:int -> ?capacity:int -> ?rebalance_every:int -> ?name:string -> unit -> factory
-(** Sharded router over topology-adaptive shards ([Shard.Adaptive]):
-    each shard starts SPSC and degrades toward the general queue as
-    roles accumulate.  Safe in any workload, so it joins
-    {!figure2_set} too.  The seen-role counters are monotone, so the
-    bechamel allocate/free cycle (fresh handle per run) degrades the
-    shards after the first cycle — the steady state measured is the
-    general backend plus dispatch, the honest number for
-    handle-churning callers. *)
 
 val wf_bounded :
   ?patience:int ->
@@ -138,20 +94,16 @@ val scq : ?order:int -> ?name:string -> unit -> factory
 
 val all : factory list
 (** The evaluation set: wf-10, wf-0, wf-10-obs (instrumented), wf-int-10
-    (int-specialized API), wf-shard-2/8 (sharded router), wf-batch-8
-    (FAA batching), wf-spsc/wf-mpsc/wf-spmc (specialized topology
-    variants), wf-shard-adaptive, wf-bounded (capped segment
-    freelist), wf-llsc
-    (CAS-emulated FAA, the paper's Power7 configuration), scq
-    (bounded ring), lcrq,
-    ccqueue, msqueue, kp (Kogan-Petrank), two-lock, mutex, faa. *)
+    (int-specialized API), wf-batch-8 (FAA batching), wf-bounded
+    (capped segment freelist), wf-llsc (CAS-emulated FAA, the paper's
+    Power7 configuration), scq (bounded ring), lcrq, ccqueue, msqueue,
+    kp (Kogan-Petrank), two-lock, mutex, faa. *)
 
 val figure2_set : factory list
-(** The queues plotted in Figure 2 (all of [all] except the extra
-    blocking baselines), plus the sharded/batched/adaptive variants so
-    the scaling tables cover them.  The raw specialized variants are
-    excluded: the multi-thread pairs workload violates their topology
-    contract by construction. *)
+(** The queues plotted in Figure 2 (all of [all] except the
+    instrumented build, wf-llsc and the extra blocking baselines), plus
+    the batched and bounded variants so the scaling tables cover
+    them. *)
 
 val find : string -> factory option
 val names : unit -> string list

@@ -82,11 +82,10 @@ let await cond =
 
 type audit = { missing : int; allowed : int; violations : string list }
 
-(* A kill at these points strands no committed value: an enqueue-side
-   kill lands before its batch commits, and a kill in the adaptive
-   switch window restores the old backend untouched. *)
+(* An enqueue-side kill strands no committed value: it lands before
+   its batch commits. *)
 let strands_nothing = function
-  | Inject.Enq_batch_after_faa | Inject.Topo_enq_pending | Inject.Topo_switch_draining -> true
+  | Inject.Enq_batch_after_faa -> true
   | p -> Inject.class_of p = Inject.Enqueue
 
 let audit ~ops ~batch ~committed ~outcomes values =

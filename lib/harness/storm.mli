@@ -114,10 +114,8 @@ val audit :
       in-flight batch after it when the owner was killed;
     - at most [allowed] = (dequeue-side kills) x [batch] committed
       values are missing.  Every kill is dequeue-side except an
-      enqueue-side one (the [Enqueue] class, [Enq_batch_after_faa],
-      [Topo_enq_pending]), which lands before its batch commits, and
-      one at [Topo_switch_draining], which restores the old backend
-      untouched: those strand nothing.
+      enqueue-side one (the [Enqueue] class and [Enq_batch_after_faa]),
+      which lands before its batch commits and strands nothing.
     Kills are read from {!Inject}'s counters, which
     {!with_controller} zeroes. *)
 

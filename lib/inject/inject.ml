@@ -12,21 +12,19 @@ type point =
   | Help_deq_pre_close
   | Cleanup_token_held
   | Hazard_published
-  | Topo_enq_pending
-  | Topo_deq_pending
-  | Topo_switch_draining
   | Seg_pool_acquire
   | Seg_pool_release
   | Sched_steal_pending
   | Sched_park_pending
   | Sched_resolve_pending
 
-type cls = Enqueue | Dequeue | Batch | Helping | Cleanup | Hazard | Topology | Pool | Sched
+type cls = Enqueue | Dequeue | Batch | Helping | Cleanup | Hazard | Pool | Sched
 
 (* New points append at the end of [all_points]: [Plan.make] draws its
    per-point ordinals in this order, so appending keeps the arming of
    every pre-existing point identical for a given seed (storm replays
-   recorded against older baselines stay valid). *)
+   recorded against older baselines stay valid); removing a point
+   re-arms every later one. *)
 let all_points =
   [
     Enq_fast_after_faa;
@@ -40,9 +38,6 @@ let all_points =
     Help_deq_pre_close;
     Cleanup_token_held;
     Hazard_published;
-    Topo_enq_pending;
-    Topo_deq_pending;
-    Topo_switch_draining;
     Seg_pool_acquire;
     Seg_pool_release;
     Sched_steal_pending;
@@ -62,14 +57,11 @@ let index = function
   | Help_deq_pre_close -> 8
   | Cleanup_token_held -> 9
   | Hazard_published -> 10
-  | Topo_enq_pending -> 11
-  | Topo_deq_pending -> 12
-  | Topo_switch_draining -> 13
-  | Seg_pool_acquire -> 14
-  | Seg_pool_release -> 15
-  | Sched_steal_pending -> 16
-  | Sched_park_pending -> 17
-  | Sched_resolve_pending -> 18
+  | Seg_pool_acquire -> 11
+  | Seg_pool_release -> 12
+  | Sched_steal_pending -> 13
+  | Sched_park_pending -> 14
+  | Sched_resolve_pending -> 15
 
 let n_points = List.length all_points
 
@@ -80,7 +72,6 @@ let class_of = function
   | Help_enq_pre_claim | Help_deq_pre_close -> Helping
   | Cleanup_token_held -> Cleanup
   | Hazard_published -> Hazard
-  | Topo_enq_pending | Topo_deq_pending | Topo_switch_draining -> Topology
   | Seg_pool_acquire | Seg_pool_release -> Pool
   | Sched_steal_pending | Sched_park_pending | Sched_resolve_pending -> Sched
 
@@ -96,9 +87,6 @@ let point_name = function
   | Help_deq_pre_close -> "help_deq_pre_close"
   | Cleanup_token_held -> "cleanup_token_held"
   | Hazard_published -> "hazard_published"
-  | Topo_enq_pending -> "topo_enq_pending"
-  | Topo_deq_pending -> "topo_deq_pending"
-  | Topo_switch_draining -> "topo_switch_draining"
   | Seg_pool_acquire -> "seg_pool_acquire"
   | Seg_pool_release -> "seg_pool_release"
   | Sched_steal_pending -> "sched_steal_pending"
@@ -112,7 +100,6 @@ let class_name = function
   | Helping -> "helping"
   | Cleanup -> "cleanup"
   | Hazard -> "hazard"
-  | Topology -> "topology"
   | Pool -> "pool"
   | Sched -> "sched"
 

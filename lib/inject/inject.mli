@@ -61,21 +61,6 @@
       re-validated — the window the hazard-pointer acquire protocol
       defends.
 
-    The [Topology] class covers the specialized-variant family
-    ([Topology.Spsc]/[Mpsc]/[Spmc] and the adaptive dispatch):
-
-    - [Topo_enq_pending]: a specialized-variant producer owns a cell
-      (an FAA ticket for MPSC, its private position for SPSC/SPMC) but
-      has not yet published the value — the Jiffy "hole" window a
-      single consumer must walk past without waiting.
-    - [Topo_deq_pending]: an SPMC consumer holds a head ticket but has
-      neither taken the value nor poisoned the cell; the producer must
-      be able to skip a cell poisoned by a consumer that overshoots.
-    - [Topo_switch_draining]: the adaptive queue holds the switch
-      token with the old backend quiesced but not yet drained — dying
-      here must restore the old backend, losing and duplicating
-      nothing.
-
     The [Pool] class covers the bounded-mode segment freelist
     (DESIGN.md §11):
 
@@ -125,16 +110,13 @@ type point =
   | Help_deq_pre_close
   | Cleanup_token_held
   | Hazard_published
-  | Topo_enq_pending
-  | Topo_deq_pending
-  | Topo_switch_draining
   | Seg_pool_acquire
   | Seg_pool_release
   | Sched_steal_pending
   | Sched_park_pending
   | Sched_resolve_pending
 
-type cls = Enqueue | Dequeue | Batch | Helping | Cleanup | Hazard | Topology | Pool | Sched
+type cls = Enqueue | Dequeue | Batch | Helping | Cleanup | Hazard | Pool | Sched
 
 val all_points : point list
 val class_of : point -> cls

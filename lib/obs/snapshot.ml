@@ -22,38 +22,6 @@ type t = {
   probe_enabled : bool;
 }
 
-let merge a b =
-  let ops = Counters.create () in
-  Counters.add ~into:ops a.ops;
-  Counters.add ~into:ops b.ops;
-  {
-    ops;
-    segments =
-      {
-        allocated = a.segments.allocated + b.segments.allocated;
-        reclaimed = a.segments.reclaimed + b.segments.reclaimed;
-        recycled = a.segments.recycled + b.segments.recycled;
-        wasted = a.segments.wasted + b.segments.wasted;
-        pooled = a.segments.pooled + b.segments.pooled;
-        live = a.segments.live + b.segments.live;
-        cleanups = a.segments.cleanups + b.segments.cleanups;
-        cap = a.segments.cap + b.segments.cap;
-        cap_hits = a.segments.cap_hits + b.segments.cap_hits;
-      };
-    handles =
-      {
-        ring = a.handles.ring + b.handles.ring;
-        live = a.handles.live + b.handles.live;
-        free_slots = a.handles.free_slots + b.handles.free_slots;
-      };
-    patience = max a.patience b.patience;
-    probe_enabled = a.probe_enabled && b.probe_enabled;
-  }
-
-let fold = function
-  | [] -> invalid_arg "Obs.Snapshot.fold: empty list"
-  | s :: rest -> List.fold_left merge s rest
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   Format.fprintf ppf "paths:    %a@," Counters.pp t.ops;

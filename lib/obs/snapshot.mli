@@ -18,8 +18,7 @@ type segments = {
   live : int;  (** current length of the segment list *)
   cleanups : int;  (** cleanup runs that actually reclaimed (the
                        [max_garbage] amortization events) *)
-  cap : int;  (** bounded-mode segment cap; [0] = unbounded (merging
-                  sums caps, matching the summed [live]/[pooled]) *)
+  cap : int;  (** bounded-mode segment cap; [0] = unbounded *)
   cap_hits : int;  (** acquire attempts that found the pool empty at
                        the cap and had to wait for a release *)
 }
@@ -39,16 +38,6 @@ type t = {
       (** whether the build records the event tier — [false] means the
           event-tier zeros are "not measured", not "measured zero" *)
 }
-
-val merge : t -> t -> t
-(** Pointwise sum of counters and gauges; [patience] is the max and
-    [probe_enabled] the conjunction (a merged event tier is only
-    trustworthy if every constituent recorded it). *)
-
-val fold : t list -> t
-(** {!merge} across a non-empty list — how a sharded router presents N
-    per-shard snapshots as one queue-level view.
-    @raise Invalid_argument on the empty list. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable summary (the [repro stats] footer). *)

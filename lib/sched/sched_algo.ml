@@ -6,12 +6,11 @@
    resolve-vs-await and help-vs-steal races, while the production build
    ([Sched.Scheduler]) compiles both tiers out.
 
-   The deque closes the ROADMAP note that the SPMC ticket queue in
-   [lib/topology] is not a stealing deque: SPMC consumers all contend
-   on one head FAA, whereas here the owner works uncontended at the
-   bottom of its own ring and only thieves synchronize at the top, so
-   locally spawned tasks run LIFO (cache-warm) and only load imbalance
-   pays a CAS. *)
+   Per-worker tasks sit in a stealing deque rather than a shared
+   ticket queue, whose consumers would all contend on one head FAA:
+   here the owner works uncontended at the bottom of its own ring and
+   only thieves synchronize at the top, so locally spawned tasks run
+   LIFO (cache-warm) and only load imbalance pays a CAS. *)
 
 module Make (A : Wfq.Atomic_prims.S) (P : Obs.Probe.S) (I : Inject.S) = struct
   module Promise = struct

@@ -92,17 +92,8 @@ module Atomic_shim : Wfq.Atomic_prims.S = struct
 end
 
 module Queue = Wfq.Wfqueue_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
-module Shard_router = Shard.Router (Atomic_shim) (Queue)
 module Ms_queue = Baselines.Msqueue_algo.Make (Atomic_shim) (Obs.Probe.Enabled)
 module Lcrq = Baselines.Lcrq_algo.Make (Atomic_shim) (Obs.Probe.Enabled)
-module Spsc = Topology.Spsc_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
-module Mpsc = Topology.Mpsc_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
-module Spmc = Topology.Spmc_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
-
-module Adaptive_queue =
-  Topology.Adaptive_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled) (Queue)
-
-module Adaptive_router = Shard.Router (Atomic_shim) (Adaptive_queue)
 module Sched_core = Sched.Sched_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
 
 type stats = { scheduling_decisions : int; max_steps_hit : bool; blocked : int }

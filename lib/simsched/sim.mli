@@ -21,12 +21,6 @@ module Atomic_shim : Wfq.Atomic_prims.S
 
 module Queue : module type of Wfq.Wfqueue_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
 
-module Shard_router : module type of Shard.Router (Atomic_shim) (Queue)
-(** The sharded router over the simulated queue: every routing FAA
-    and every shard-internal access is a scheduler preemption point,
-    so the d-relaxation checker sees real adversarial interleavings
-    of the scan/steal/rebalance races. *)
-
 module Ms_queue : module type of Baselines.Msqueue_algo.Make (Atomic_shim) (Obs.Probe.Enabled)
 (** The MS-Queue baseline on the same simulated atomics, for
     differential schedule testing. *)
@@ -35,35 +29,6 @@ module Lcrq : module type of Baselines.Lcrq_algo.Make (Atomic_shim) (Obs.Probe.E
 (** LCRQ (rings + list) on simulated atomics: the close/fixState
     logic is the subtlest part of any baseline, so it gets schedule
     exploration too. *)
-
-module Spsc : module type of Topology.Spsc_algo.Make (Atomic_shim) (Obs.Probe.Enabled)
-                                                     (Inject.Enabled)
-(** The specialized SPSC variant on simulated atomics (probe and
-    injector compiled in), for schedule exploration of the cell
-    handshake and segment growth under its topology contract. *)
-
-module Mpsc : module type of Topology.Mpsc_algo.Make (Atomic_shim) (Obs.Probe.Enabled)
-                                                     (Inject.Enabled)
-(** The Jiffy-style MPSC variant on simulated atomics: the hole
-    lifecycle (FAA, stall, late deposit, late take) is where its
-    FIFO argument lives, so it gets exploration and hole storms. *)
-
-module Spmc : module type of Topology.Spmc_algo.Make (Atomic_shim) (Obs.Probe.Enabled)
-                                                     (Inject.Enabled)
-(** The SPMC variant on simulated atomics: the ticket-vs-deposit
-    poison race is its one CAS boundary. *)
-
-module Adaptive_queue :
-    module type of Topology.Adaptive_algo.Make (Atomic_shim) (Obs.Probe.Enabled)
-                                               (Inject.Enabled) (Queue)
-(** The topology-adaptive queue over the simulated general queue:
-    the quiesce/drain/commit switch protocol under controlled
-    interleavings — the degrade-transition conservation suite runs
-    here. *)
-
-module Adaptive_router : module type of Shard.Router (Atomic_shim) (Adaptive_queue)
-(** The sharded router over adaptive shards, all on simulated
-    atomics. *)
 
 module Sched_core :
     module type of Sched.Sched_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)

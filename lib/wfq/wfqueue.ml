@@ -4,7 +4,7 @@
 
 include Wfqueue_algo.Make (Atomic_prims.Real) (Obs.Probe.Disabled) (Inject.Disabled)
 
-(* Rebinding, not a fresh declaration: every instantiation (and the
-   shard router) shares one exception identity, so a single handler
-   matches regardless of which build raised. *)
+(* Rebinding, not a fresh declaration: every instantiation shares one
+   exception identity, so a single handler matches regardless of
+   which build raised. *)
 exception Would_block = Wfqueue_algo.Would_block

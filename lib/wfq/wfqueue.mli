@@ -46,8 +46,8 @@ exception Would_block
 (** Raised by {!enqueue_exn}/{!enq_batch_exn} when a bounded queue's
     admission check rejects the operation.  The same exception value
     across every instantiation of the algorithm (this module,
-    [Wfqueue_obs], [Wfqueue_inject], the simsched build) and the
-    sharded router, so one handler covers any composition. *)
+    [Wfqueue_obs], [Wfqueue_inject], the simsched build), so one
+    handler covers them all. *)
 
 val create :
   ?patience:int ->

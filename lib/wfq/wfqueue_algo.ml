@@ -48,9 +48,8 @@
    CI. *)
 
 (* Bounded-mode backpressure, at the library's top level (not inside
-   [Make]) so every instantiation — and the shard router over any of
-   them — raises the one same exception, and a caller composing a
-   bounded router over bounded shards needs a single handler. *)
+   [Make]) so every instantiation raises the one same exception and a
+   caller needs a single handler whichever build raised it. *)
 exception Would_block
 
 module Make (A : Atomic_prims.S) (P : Obs.Probe.S) (I : Inject.S) = struct
@@ -1291,9 +1290,8 @@ let dequeue_with_hzdp q h =
    and the protocol text below the admission line is byte-identical
    to the unbounded build's.
 
-   The check is advisory — a racy tail/head read, the same contract
-   as the shard router's capacity check: in-flight producers can
-   overshoot the line by their count.  Its job is to keep producers
+   The check is advisory — a racy tail/head read: in-flight producers
+   can overshoot the line by their count.  Its job is to keep producers
    away from the hard cap, which is enforced independently by the
    allocation budget in [obtain_segment]; the [max_garbage + 2]
    segments the line holds back absorb the reclamation slack (garbage

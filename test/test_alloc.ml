@@ -195,13 +195,13 @@ let test_alloc_bounded_and_scq_zero () =
     [ Harness.Queues.wf_bounded (); Harness.Queues.scq () ]
 
 let test_alloc_bench_default_rows () =
-  (* the eleven pinned rows: every dequeue_or row holds the hot-path
+  (* the seven pinned rows: every dequeue_or row holds the hot-path
      zero, and the option API pays exactly its [Some] box (2 words on
      each dequeue, 1.0 per op).  [Gc.minor_words] is an exact count,
      so the bounds can be tight: one extra 2-word box per operation
      fails either. *)
   let rows = Harness.Alloc_bench.default_rows ~warmup_pairs:20_000 ~pairs:5_000 () in
-  check Alcotest.int "row count" 11 (List.length rows);
+  check Alcotest.int "row count" 7 (List.length rows);
   List.iter
     (fun (r : Harness.Alloc_bench.row) ->
       let w = r.words_per_op in

@@ -398,6 +398,67 @@ let test_pool_kill_storm () =
   if !release_kills = 0 then
     Alcotest.fail "no kill at Seg_pool_release across 400 seeds: storm is dead code?"
 
+(* Bounded admission under enqueue-side kills.  [try_enqueue] and
+   [enqueue_exn] check the admission line before any ticket is taken,
+   so a rejection has no protocol footprint: the producer retries the
+   same value, and a rejection that had left it in the queue would
+   surface as a duplicate.  A producer killed at an enqueue point
+   between rejections strands nothing it committed, and the segment
+   cap holds throughout. *)
+let test_admission_kill_storm () =
+  let cap = 6 and ops = 6 in
+  let rejections = ref 0 and kills = ref 0 in
+  for seed = 1 to 300 do
+    let plan =
+      Inject.Plan.make ~lethal:true ~arm_window:1
+        ~points:(Inject.points_of_class Inject.Enqueue)
+        ~seed:(Int64.of_int ((seed * 211) + 3))
+        ()
+    in
+    (* cap 6 admits 4 values ([enq_capacity]) against 12 offered *)
+    let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 ~segment_cap:cap () in
+    let h = Array.init 4 (fun _ -> Q.register q) in
+    let committed, outcomes = ledger 4 and got = ref [] in
+    let producers_done = ref 0 in
+    (* even attempts poll [try_enqueue], odd ones catch [enqueue_exn]'s
+       [Would_block] *)
+    let admit i attempt v =
+      if attempt land 1 = 0 then Q.try_enqueue q h.(i) v
+      else
+        match Q.enqueue_exn q h.(i) v with
+        | () -> true
+        | exception Wfq.Wfqueue_algo.Would_block -> false
+    in
+    let producer i () =
+      (try
+         let attempt = ref 0 in
+         while committed.(i) < ops do
+           if admit i !attempt ((i * ops) + committed.(i)) then begin
+             committed.(i) <- committed.(i) + 1;
+             check_cap ~seed q cap
+           end
+           else begin
+             incr rejections;
+             Sim.yield ()
+           end;
+           incr attempt
+         done
+       with Inject.Killed p ->
+         outcomes.(i) <- Storm.Killed p;
+         Q.retire q h.(i));
+      incr producers_done
+    in
+    let consumer i = consume q h.(i) producers_done got in
+    storm ~victim:(fun f -> f = 0) plan (fun () ->
+        ignore (run_ok ~seed [| producer 0; producer 1; consumer 2; consumer 3 |]));
+    kills := !kills + (Inject.total_stats ()).Inject.kills;
+    audit ~seed ~ops ~committed ~outcomes (!got @ drain q h.(2));
+    check_footprint ~seed q cap
+  done;
+  if !rejections = 0 then
+    Alcotest.fail "no admission rejection across 300 seeds: no capacity pressure reached?";
+  if !kills = 0 then Alcotest.fail "no enqueue-side kill across 300 seeds: storm is dead code?"
+
 (* A dead slow-path enqueuer's published request is completed by
    helpers: the value it announced still flows to a dequeuer, and a
    kill there (an enqueue-side point) may strand nothing. *)
@@ -430,7 +491,7 @@ let test_helping_completes_dead_enqueuer () =
    each, the rest dequeue [deqs] times each; [victim] fibers take the
    plan's faults.  A killed fiber records its kill and retires its
    handle.  Audits the storm after draining through the last
-   consumer's handle, and returns that handle. *)
+   consumer's handle. *)
 let role_storm ~seed ~producers ~consumers ~ops ~deqs ~victim plan ~register ~enqueue ~dequeue
     ~retire =
   let n = producers + consumers in
@@ -453,8 +514,7 @@ let role_storm ~seed ~producers ~consumers ~ops ~deqs ~victim plan ~register ~en
   in
   storm ~victim plan (fun () -> ignore (run_ok ~seed (Array.init n fiber)));
   let rec drain acc = match dequeue h.(n - 1) with Some v -> drain (v :: acc) | None -> acc in
-  audit ~seed ~ops ~committed ~outcomes (!got @ drain []);
-  h.(n - 1)
+  audit ~seed ~ops ~committed ~outcomes (!got @ drain [])
 
 let test_dead_dequeuer_strands_at_most_one () =
   for seed = 1 to 300 do
@@ -465,10 +525,9 @@ let test_dead_dequeuer_strands_at_most_one () =
     in
     let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 () in
     (* one producer, two consumers; consumer fiber 1 is the victim *)
-    ignore
-      (role_storm ~seed ~producers:1 ~consumers:2 ~ops:8 ~deqs:4 ~victim:(fun f -> f = 1) plan
-         ~register:(fun () -> Q.register q)
-         ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q))
+    role_storm ~seed ~producers:1 ~consumers:2 ~ops:8 ~deqs:4 ~victim:(fun f -> f = 1) plan
+      ~register:(fun () -> Q.register q)
+      ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q)
   done
 
 (* Dying while holding the cleanup token must not wedge reclamation:
@@ -506,174 +565,6 @@ let test_cleanup_token_death_recovers () =
     end
   done;
   if !exercised = 0 then Alcotest.fail "no cleanup-token death was ever injected"
-
-(* ------------------------------------------------------------------ *)
-(* Topology storms: the specialized variant family under faults.  The
-   variants have no helping — their fault story is structural (holes
-   skipped, tickets poisoned, switches drained), so the claims are
-   the same currency as above: parks stall nobody, each kill strands
-   at most one value, nothing duplicates, survivors complete.        *)
-
-(* Park storm at the [Topology] points, one sweep per variant under
-   its legal topology.  A producer parked in the hole window or a
-   consumer parked on a held ticket delays nobody; values are
-   conserved exactly. *)
-let test_topology_park_storm () =
-  let points = Inject.points_of_class Inject.Topology in
-  let plan seed = Inject.Plan.make ~park:6 ~arm_window:1 ~points ~seed:(Int64.of_int seed) () in
-  let fired = ref 0 in
-  for seed = 1 to 100 do
-    (* SPSC: producer fiber 0 (victim), consumer fiber 1 *)
-    (let module Q = Simsched.Sim.Spsc in
-     let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
-     ignore
-       (role_storm ~seed ~producers:1 ~consumers:1 ~ops:8 ~deqs:8 ~victim:(fun f -> f = 0)
-          (plan (seed * 7919))
-          ~register:(fun () -> Q.register q)
-          ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q));
-     fired := !fired + parks points);
-    (* MPSC: producers 0 (victim) and 1, consumer 2 *)
-    (let module Q = Simsched.Sim.Mpsc in
-     let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
-     ignore
-       (role_storm ~seed ~producers:2 ~consumers:1 ~ops:4 ~deqs:8 ~victim:(fun f -> f = 0)
-          (plan (seed * 31))
-          ~register:(fun () -> Q.register q)
-          ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q));
-     fired := !fired + parks points);
-    (* SPMC: producer 0, consumers 1 (victim) and 2 *)
-    (let module Q = Simsched.Sim.Spmc in
-     let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
-     ignore
-       (role_storm ~seed ~producers:1 ~consumers:2 ~ops:8 ~deqs:4 ~victim:(fun f -> f = 1)
-          (plan (seed * 17))
-          ~register:(fun () -> Q.register q)
-          ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q));
-     fired := !fired + parks points);
-    (* Adaptive: two producers force a switch mid-stream; a park in
-       the drain window must not wedge the commit *)
-    let module Q = Simsched.Sim.Adaptive_queue in
-    let q = Q.create ~patience:2 ~segment_shift:1 ~max_garbage:2 () in
-    ignore
-      (role_storm ~seed ~producers:2 ~consumers:1 ~ops:4 ~deqs:8 ~victim:(fun f -> f <= 1)
-         (plan (seed * 13))
-         ~register:(fun () -> Q.register q)
-         ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q));
-    fired := !fired + parks points
-  done;
-  if !fired = 0 then
-    Alcotest.fail "no topology park ever fired across the sweep: dead injection points?"
-
-(* A producer killed in the MPSC hole window (ticket FAA'd, cell
-   never written) leaves a PERMANENT hole.  The consumer must skip it
-   forever without stalling: every other value still flows, nothing
-   duplicates, and only the victim's in-flight value is in doubt. *)
-let test_topo_dead_producer_leaves_hole () =
-  let total_kills = ref 0 in
-  for seed = 1 to 300 do
-    let plan =
-      Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Topo_enq_pending ]
-        ~seed:(Int64.of_int (seed * 23)) ()
-    in
-    let module Q = Simsched.Sim.Mpsc in
-    let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
-    let hc =
-      role_storm ~seed ~producers:2 ~consumers:1 ~ops:4 ~deqs:8 ~victim:(fun f -> f = 0) plan
-        ~register:(fun () -> Q.register q)
-        ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q)
-    in
-    total_kills := !total_kills + (Inject.total_stats ()).Inject.kills;
-    (* the permanent hole must not wedge later traffic *)
-    let hp = Q.register q in
-    Q.enqueue q hp 999;
-    match Q.dequeue q hc with
-    | Some 999 -> ()
-    | _ -> Alcotest.failf "seed %d: queue wedged behind a dead producer's hole" seed
-  done;
-  if !total_kills = 0 then
-    Alcotest.fail "no hole-window kill ever fired: lethal topology plans are dead code?"
-
-(* A consumer killed holding an SPMC head ticket never resolves its
-   cell: the value the producer deposits there is stranded — but at
-   most that one, and the ticket's segment pin only costs memory,
-   never progress. *)
-let test_topo_dead_ticket_strands_at_most_one () =
-  let total_kills = ref 0 in
-  for seed = 1 to 300 do
-    let plan =
-      Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Topo_deq_pending ]
-        ~seed:(Int64.of_int (seed * 29)) ()
-    in
-    let module Q = Simsched.Sim.Spmc in
-    let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
-    ignore
-      (role_storm ~seed ~producers:1 ~consumers:2 ~ops:8 ~deqs:4 ~victim:(fun f -> f = 1) plan
-         ~register:(fun () -> Q.register q)
-         ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q));
-    total_kills := !total_kills + (Inject.total_stats ()).Inject.kills
-  done;
-  if !total_kills = 0 then
-    Alcotest.fail "no ticket-window kill ever fired: lethal topology plans are dead code?"
-
-(* Death in the adaptive switch drain: the kill is absorbed until the
-   switch commits ("die late"), so a crashed switcher can never leave
-   the queue wedged mid-mode.  Survivors finish, a killed producer's
-   in-flight value may land (the enqueue itself completes before the
-   kill is re-raised), and the queue stays fully operational on the
-   new backend. *)
-let test_topo_switch_death_recovers () =
-  let total_kills = ref 0 in
-  for seed = 1 to 300 do
-    let plan =
-      Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Topo_switch_draining ]
-        ~seed:(Int64.of_int (seed * 37)) ()
-    in
-    let module Q = Simsched.Sim.Adaptive_queue in
-    let q = Q.create ~patience:2 ~segment_shift:1 ~max_garbage:2 () in
-    (* both producers are victims: whichever one performs the
-       spsc->mpsc switch can die in the drain window *)
-    let hc =
-      role_storm ~seed ~producers:2 ~consumers:1 ~ops:4 ~deqs:8 ~victim:(fun f -> f <= 1) plan
-        ~register:(fun () -> Q.register q)
-        ~enqueue:(Q.enqueue q) ~dequeue:(Q.dequeue q) ~retire:(Q.retire q)
-    in
-    total_kills := !total_kills + (Inject.total_stats ()).Inject.kills;
-    (* the switch committed (or was never needed): the queue works *)
-    Q.enqueue q hc 999;
-    match Q.dequeue q hc with
-    | Some 999 -> ()
-    | _ -> Alcotest.failf "seed %d: queue wedged after switch-window death" seed
-  done;
-  if !total_kills = 0 then
-    Alcotest.fail "no switch-drain kill ever fired: lethal topology plans are dead code?"
-
-(* The real-domain storms run [repro]'s own runner and audit: 4
-   domains, the first 2 victims, a park plan then a kill plan, each on
-   a fresh subject. *)
-let real_storm make =
-  List.iter
-    (fun (seed, kill) ->
-      let r =
-        Storm.run (make ()) Storm.Pairs ~domains:4 ~ops:2_000
-          { Storm.seed; park = 50; kill; victims = Some 2 }
-      in
-      match Storm.violations r with
-      | [] -> ()
-      | vs -> Alcotest.failf "seed %d (kill=%b): %s" seed kill (String.concat "; " vs))
-
-(* The storm build of the adaptive family on real domains: hardware
-   scheduling instead of the sim.  The all-pairs storm degrades it to
-   the general backend; the queue must still be consistent there. *)
-let test_topo_real_storm_smoke () =
-  let module W = Topology.Adaptive_inject in
-  real_storm
-    (fun () ->
-      let q = W.create ~segment_shift:2 ~max_garbage:2 () in
-      Storm.subject (fun () ->
-          let h = W.register q in
-          Storm.single ~enqueue:(W.enqueue q h) ~dequeue_or:(W.dequeue_or q h)
-            ~retire:(fun () -> W.retire q h)))
-    [ (21, false); (22, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: one (sim seed, plan seed) pair is one storm           *)
@@ -714,15 +605,26 @@ let test_same_seed_same_storm () =
 (* ------------------------------------------------------------------ *)
 (* Real domains: the storm build under hardware scheduling            *)
 
+(* [repro]'s own runner and audit: 4 domains, the first 2 victims, a
+   park plan then a kill plan, each on a fresh queue. *)
 let test_real_storm_smoke () =
   let module W = Wfq.Wfqueue_inject in
-  real_storm
-    (fun () ->
+  List.iter
+    (fun (seed, kill) ->
       let q = W.create ~patience:1 ~segment_shift:2 ~max_garbage:2 () in
-      Storm.subject (fun () ->
-          let h = W.register q in
-          Storm.single ~enqueue:(W.enqueue q h) ~dequeue_or:(W.dequeue_or q h)
-            ~retire:(fun () -> W.retire q h)))
+      let subject =
+        Storm.subject (fun () ->
+            let h = W.register q in
+            Storm.single ~enqueue:(W.enqueue q h) ~dequeue_or:(W.dequeue_or q h)
+              ~retire:(fun () -> W.retire q h))
+      in
+      let r =
+        Storm.run subject Storm.Pairs ~domains:4 ~ops:2_000
+          { Storm.seed; park = 50; kill; victims = Some 2 }
+      in
+      match Storm.violations r with
+      | [] -> ()
+      | vs -> Alcotest.failf "seed %d (kill=%b): %s" seed kill (String.concat "; " vs))
     [ (11, false); (12, true) ]
 
 let () =
@@ -758,17 +660,10 @@ let () =
           Alcotest.test_case "cleanup survives token-holder death" `Quick
             test_cleanup_token_death_recovers;
         ] );
-      ( "topology-storms",
+      ( "admission-kills",
         [
-          Alcotest.test_case "parks at topology points conserve values" `Quick
-            test_topology_park_storm;
-          Alcotest.test_case "dead MPSC producer leaves a skippable hole" `Quick
-            test_topo_dead_producer_leaves_hole;
-          Alcotest.test_case "dead SPMC ticket strands at most one value" `Quick
-            test_topo_dead_ticket_strands_at_most_one;
-          Alcotest.test_case "death during adaptive switch drain recovers" `Quick
-            test_topo_switch_death_recovers;
-          Alcotest.test_case "4-domain adaptive storm smoke" `Quick test_topo_real_storm_smoke;
+          Alcotest.test_case "rejections leave no footprint, kills strand nothing" `Quick
+            test_admission_kill_storm;
         ] );
       ( "determinism",
         [ Alcotest.test_case "same seeds, same storm" `Quick test_same_seed_same_storm ] );

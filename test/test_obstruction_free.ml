@@ -90,16 +90,28 @@ let test_mpmc_no_loss () =
               O.enqueue q ((p * n) + i)
             done))
   in
+  (* Consumers dequeue only while the queue looks non-empty.  Every
+     EMPTY dequeue takes a head ticket and poisons a future cell, and
+     Listing 1 is only obstruction-free: consumers polling an empty
+     queue in a tight loop can keep H ahead of T for good, so every
+     enqueue lands on a poisoned cell, retries and grows the segment
+     list without bound.  Checking first still lets consumers race
+     for the last values, but H can pass T by at most [ncons]. *)
   let consumers =
     List.init ncons (fun _ ->
         Domain.spawn (fun () ->
             let continue = ref true in
             while !continue do
-              match O.dequeue q with
-              | Some v ->
-                ignore (Atomic.fetch_and_add sum v);
-                if Atomic.fetch_and_add consumed 1 = (nprod * n) - 1 then continue := false
-              | None -> if Atomic.get consumed >= nprod * n then continue := false
+              if O.approx_length q = 0 then begin
+                if Atomic.get consumed >= nprod * n then continue := false
+                else Domain.cpu_relax ()
+              end
+              else
+                match O.dequeue q with
+                | Some v ->
+                  ignore (Atomic.fetch_and_add sum v);
+                  if Atomic.fetch_and_add consumed 1 = (nprod * n) - 1 then continue := false
+                | None -> if Atomic.get consumed >= nprod * n then continue := false
             done))
   in
   List.iter Domain.join producers;
