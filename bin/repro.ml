@@ -297,9 +297,11 @@ let inject_cmd =
            let h = Q.register q in
            (* the paper's option-returning dequeue, not the separate
               dequeue_or entry point the other subjects use *)
-           Storm.single ~enqueue:(Q.enqueue q h)
-             ~dequeue_or:(fun d -> Option.value (Q.dequeue q h) ~default:d)
-             ~retire:(fun () -> Q.retire q h)))
+           {
+             Storm.enqueue = Q.enqueue q h;
+             dequeue_or = (fun d -> Option.value (Q.dequeue q h) ~default:d);
+             retire = (fun () -> Q.retire q h);
+           }))
       Pairs ~domains:threads ~ops faults
   in
   Cmd.v
@@ -334,7 +336,7 @@ let bounded_cmd =
             Format.fprintf fmt "fixed ring of %d value slots (no segments)" (S.capacity q))
           (fun () ->
             let h = S.register q in
-            Storm.single ~enqueue:(S.enqueue q h) ~dequeue_or:(S.dequeue_or q h) ~retire:ignore)
+            { Storm.enqueue = S.enqueue q h; dequeue_or = S.dequeue_or q h; retire = ignore })
       | _ ->
         let bounded = queue = "wf-bounded" in
         let q =
@@ -361,8 +363,11 @@ let bounded_cmd =
               (Q.cap_hits q))
           (fun () ->
             let h = Q.register q in
-            Storm.single ~enqueue:(Q.enqueue q h) ~dequeue_or:(Q.dequeue_or q h)
-              ~retire:(fun () -> Q.retire q h))
+            {
+              Storm.enqueue = Q.enqueue q h;
+              dequeue_or = Q.dequeue_or q h;
+              retire = (fun () -> Q.retire q h);
+            })
     in
     storm
       (Printf.sprintf "Bounded spike storm [%s]" queue)

@@ -12,7 +12,7 @@
 
     The default rows tell the PR-6 story: the generic option API pays
     exactly its [Some] box, [dequeue_or] pays nothing, the
-    instrumented build pays no extra words, and the int facade is zero
+    instrumented build pays no extra words, and the int queue is zero
     end to end. *)
 
 type row = {
@@ -30,16 +30,7 @@ val measure :
     60k warm-up pairs (several cleanup cycles at the default segment
     geometry), 20k measured pairs, option-returning dequeue. *)
 
-val measure_batch_into : ?warmup_pairs:int -> ?pairs:int -> ?batch:int -> unit -> row
-(** Steady-state words/op of the caller-buffer batch API
-    ([Wfqueue.enq_batch] + [Wfqueue.deq_batch_into] on the int queue):
-    per-batch [Gc.minor_words] windows divided by [batch] (default 64),
-    so the row reads in the same unit as the per-op rows.  Zero is the
-    claim: no [Some] per cell, no result array, no batching-facade
-    state. *)
-
 val default_rows : ?warmup_pairs:int -> ?pairs:int -> unit -> row list
 (** The pinned set: wf-10 (option API), wf-10-deq-or, wf-10-obs-deq-or,
-    wf-int-10, wf-10-deq-batch-into-64, wf-bounded-deq-or and
-    scq-deq-or.  Every [dequeue_or] row must hold the hot-path
-    zero. *)
+    wf-int-10, wf-bounded-deq-or and scq-deq-or.  Every [dequeue_or]
+    row must hold the hot-path zero. *)

@@ -99,13 +99,13 @@ let wf_obs ?(patience = 10) ?segment_shift ?max_garbage ?reclamation ?name () =
         });
   }
 
-(* The int-specialized facade ([Wfqueue_int]): same compiled queue as
-   [wf], but the per-domain ops route dequeues through the
-   allocation-free [dequeue_or] (EMPTY = min_int sentinel, outside the
-   bench payload domain of small non-negative ints) and wrap the
-   option only when a caller insists on [dequeue].  Benched against
-   [wf] to price the generic API's option box — the last hot-path
-   allocation the PR-6 audit left by design. *)
+(* The production queue at [int], with the per-domain ops routing
+   dequeues through the allocation-free [dequeue_or] (EMPTY = min_int
+   sentinel, outside the bench payload domain of small non-negative
+   ints) and wrapping the option only when a caller insists on
+   [dequeue].  Benched against [wf] to price the generic API's option
+   box, the one hot-path allocation the generic API keeps by
+   design. *)
 let wf_int ?(patience = 10) ?segment_shift ?max_garbage ?reclamation ?name () =
   let name = match name with Some n -> n | None -> Printf.sprintf "wf-int-%d" patience in
   {
@@ -116,90 +116,19 @@ let wf_int ?(patience = 10) ?segment_shift ?max_garbage ?reclamation ?name () =
     is_real_queue = true;
     make =
       (fun () ->
-        let q = Wfq.Wfqueue_int.create ~patience ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Wfq.Wfqueue_int.register q in
-              make_ops
-                ~enqueue:(fun v -> Wfq.Wfqueue_int.enqueue q h v)
-                ~dequeue:(fun () ->
-                  let v = Wfq.Wfqueue_int.dequeue_or q h min_int in
-                  if v = min_int then None else Some v)
-                ~dequeue_or:(fun d -> Wfq.Wfqueue_int.dequeue_or q h d)
-                ~release:(fun () -> Wfq.Wfqueue_int.retire q h)
-                ());
-          op_stats = (fun () -> Some (Wfq.Wfqueue_int.stats q));
-          reset_op_stats = (fun () -> Wfq.Wfqueue_int.reset_stats q);
-          snapshot = (fun () -> Some (Wfq.Wfqueue_int.snapshot q));
-        });
-  }
-
-(* One wait-free queue driven through the k-cell batch operations,
-   with client-side buffering: enqueues coalesce into one tail FAA per
-   [batch] values, dequeues prefetch up to [batch] values per head
-   FAA.  Measures the amortization headroom of the batch path against
-   the one-FAA-per-op baseline. *)
-let wf_batch ?(batch = 8) ?(patience = 10) ?name () =
-  let name = match name with Some n -> n | None -> Printf.sprintf "wf-batch-%d" batch in
-  if batch < 1 then invalid_arg "Queues.wf_batch: batch < 1";
-  {
-    name;
-    description =
-      Printf.sprintf "wait-free queue, %d-cell FAA batching (buffering facade)" batch;
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Wfq.Wfqueue.create ~patience () in
+        let q = Wfq.Wfqueue.create ~patience ?segment_shift ?max_garbage ?reclamation () in
         {
           iname = name;
           register =
             (fun () ->
               let h = Wfq.Wfqueue.register q in
-              let outbuf = Array.make batch 0 in
-              let out_len = ref 0 in
-              let prefetch = Queue.create () in
-              let flush () =
-                if !out_len > 0 then begin
-                  Wfq.Wfqueue.enq_batch q h (Array.sub outbuf 0 !out_len);
-                  out_len := 0
-                end
-              in
               make_ops
-                ~enqueue:(fun v ->
-                    outbuf.(!out_len) <- v;
-                    incr out_len;
-                    if !out_len = batch then flush ())
+                ~enqueue:(fun v -> Wfq.Wfqueue.enqueue q h v)
                 ~dequeue:(fun () ->
-                    if not (Queue.is_empty prefetch) then Some (Queue.pop prefetch)
-                    else begin
-                      (* publish our own pending values first so a
-                         pairs-style worker can always drain what it
-                         produced *)
-                      flush ();
-                      (* size the ticket batch by the visible backlog
-                         so a near-empty queue is not hammered with
-                         k-ticket EMPTY batches *)
-                      let want = min batch (max 1 (Wfq.Wfqueue.approx_length q)) in
-                      let out = Wfq.Wfqueue.deq_batch q h want in
-                      Array.iter
-                        (function Some v -> Queue.push v prefetch | None -> ())
-                        out;
-                      if Queue.is_empty prefetch then None else Some (Queue.pop prefetch)
-                    end)
-                ~release:(fun () ->
-                    (* conservation across release: publish buffered
-                       values and return prefetched-but-unconsumed
-                       ones *)
-                    flush ();
-                    if not (Queue.is_empty prefetch) then begin
-                      let leftovers =
-                        Array.init (Queue.length prefetch) (fun _ -> Queue.pop prefetch)
-                      in
-                      Wfq.Wfqueue.enq_batch q h leftovers
-                    end;
-                    Wfq.Wfqueue.retire q h)
+                  let v = Wfq.Wfqueue.dequeue_or q h min_int in
+                  if v = min_int then None else Some v)
+                ~dequeue_or:(fun d -> Wfq.Wfqueue.dequeue_or q h d)
+                ~release:(fun () -> Wfq.Wfqueue.retire q h)
                 ());
           op_stats = (fun () -> Some (Wfq.Wfqueue.stats q));
           reset_op_stats = (fun () -> Wfq.Wfqueue.reset_stats q);
@@ -370,7 +299,6 @@ let all =
     wf ~patience:0 ();
     wf_obs ~patience:10 ();
     wf_int ~patience:10 ();
-    wf_batch ~batch:8 ();
     wf_bounded ();
     wf_llsc;
     scq ();
@@ -388,7 +316,6 @@ let figure2_set =
     wf ~patience:10 ();
     wf ~patience:0 ();
     wf_int ~patience:10 ();
-    wf_batch ~batch:8 ();
     wf_bounded ();
     scq ();
     lcrq ();

@@ -60,18 +60,9 @@ val wf_obs : ?patience:int -> ?segment_shift:int -> ?max_garbage:int -> ?reclama
 
 val wf_int : ?patience:int -> ?segment_shift:int -> ?max_garbage:int -> ?reclamation:bool ->
   ?name:string -> unit -> factory
-(** The int-specialized facade ([Wfq.Wfqueue_int]): same compiled
-    queue as {!wf}, with dequeues routed through the allocation-free
-    [dequeue_or] (EMPTY = [min_int]).  Its delta against {!wf} prices
-    the generic API's option box. *)
-
-val wf_batch : ?batch:int -> ?patience:int -> ?name:string -> unit -> factory
-(** One production queue driven through [enq_batch]/[deq_batch] with a
-    client-side buffering facade: one tail FAA per [batch] enqueues,
-    one head FAA per up-to-[batch] dequeues.  Values may sit in the
-    per-handle buffer until the next dequeue or [release] flushes
-    them, so cross-thread visibility is batch-delayed — the documented
-    trade of the batching deployment shape. *)
+(** {!wf} at [int Wfq.Wfqueue.t], with dequeues routed through the
+    allocation-free [dequeue_or] (EMPTY = [min_int]).  Its delta
+    against {!wf} prices the generic API's option box. *)
 
 val wf_bounded :
   ?patience:int ->
@@ -94,16 +85,15 @@ val scq : ?order:int -> ?name:string -> unit -> factory
 
 val all : factory list
 (** The evaluation set: wf-10, wf-0, wf-10-obs (instrumented), wf-int-10
-    (int-specialized API), wf-batch-8 (FAA batching), wf-bounded
-    (capped segment freelist), wf-llsc (CAS-emulated FAA, the paper's
-    Power7 configuration), scq (bounded ring), lcrq, ccqueue, msqueue,
+    (dequeues through [dequeue_or]), wf-bounded (capped segment
+    freelist), wf-llsc (CAS-emulated FAA, the paper's Power7
+    configuration), scq (bounded ring), lcrq, ccqueue, msqueue,
     kp (Kogan-Petrank), two-lock, mutex, faa. *)
 
 val figure2_set : factory list
 (** The queues plotted in Figure 2 (all of [all] except the
-    instrumented build, wf-llsc and the extra blocking baselines), plus
-    the batched and bounded variants so the scaling tables cover
-    them. *)
+    instrumented build, wf-llsc and the extra blocking baselines), so
+    the scaling tables also cover wf-int-10, wf-bounded and scq. *)
 
 val find : string -> factory option
 val names : unit -> string list

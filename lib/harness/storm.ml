@@ -26,33 +26,19 @@ let victims f ~domains =
   | Some _, Some k -> min k domains
   | Some _, None -> max 1 (domains / 2)
 
-type ops = { enqueue : int array -> unit; dequeue : int array -> int; retire : unit -> unit }
+type ops = { enqueue : int -> unit; dequeue_or : int -> int; retire : unit -> unit }
 
 (* values are non-negative, so [min_int] is free to mean empty *)
-let single ~enqueue ~dequeue_or ~retire =
-  {
-    enqueue = Array.iter enqueue;
-    dequeue =
-      (fun buf ->
-        let v = dequeue_or min_int in
-        if v = min_int then 0
-        else begin
-          buf.(0) <- v;
-          1
-        end);
-    retire;
-  }
+let empty = min_int
 
 type subject = {
-  batch : int;
   register : unit -> ops;
   invariant : settled:bool -> string option;
   footprint : Format.formatter -> unit;
 }
 
-let subject ?(batch = 1) ?(invariant = fun ~settled:_ -> None) ?(footprint = fun _ -> ())
-    register =
-  { batch; register; invariant; footprint }
+let subject ?(invariant = fun ~settled:_ -> None) ?(footprint = fun _ -> ()) register =
+  { register; invariant; footprint }
 
 type shape = Pairs | Split of int
 type outcome = Running | Completed | Killed of Inject.point | Raised of exn
@@ -83,12 +69,10 @@ let await cond =
 type audit = { missing : int; allowed : int; violations : string list }
 
 (* An enqueue-side kill strands no committed value: it lands before
-   its batch commits. *)
-let strands_nothing = function
-  | Inject.Enq_batch_after_faa -> true
-  | p -> Inject.class_of p = Inject.Enqueue
+   its enqueue commits. *)
+let strands_nothing p = Inject.class_of p = Inject.Enqueue
 
-let audit ~ops ~batch ~committed ~outcomes values =
+let audit ~ops ~committed ~outcomes values =
   let domains = Array.length committed in
   let seen = Array.make (domains * ops) 0 in
   let owned v =
@@ -96,7 +80,7 @@ let audit ~ops ~batch ~committed ~outcomes values =
     && v / ops < domains
     &&
     let d = v / ops and i = v mod ops in
-    i < committed.(d) || match outcomes.(d) with Killed _ -> i < committed.(d) + batch | _ -> false
+    i < committed.(d) || match outcomes.(d) with Killed _ -> i = committed.(d) | _ -> false
   in
   (* count and first example of each kind of bad value *)
   let dups = ref (0, 0) and aliens = ref (0, 0) in
@@ -121,23 +105,21 @@ let audit ~ops ~batch ~committed ~outcomes values =
       (fun n p -> if strands_nothing p then n else n + (Inject.stats p).Inject.kills)
       0 Inject.all_points
   in
-  let allowed = kills * batch in
   let bad (n, first) what =
     if n > 0 then [ Printf.sprintf "%d %s (first: %d)" n what first ] else []
   in
   let violations =
     bad !dups "value(s) dequeued more than once"
-    @ bad !aliens "alien value(s), neither committed nor a killed domain's in-flight batch"
+    @ bad !aliens "alien value(s), neither committed nor a killed domain's in-flight value"
     @
-    if !missing > allowed then
+    if !missing > kills then
       [
-        Printf.sprintf
-          "%d committed value(s) missing, but %d dequeue-side kill(s) x batch %d allow %d"
-          !missing kills batch allowed;
+        Printf.sprintf "%d committed value(s) missing, but %d dequeue-side kill(s) allow %d"
+          !missing kills kills;
       ]
     else []
   in
-  { missing = !missing; allowed; violations }
+  { missing = !missing; allowed = kills; violations }
 
 (* ------------------------------------------------------------------ *)
 (* The runner                                                         *)
@@ -157,12 +139,7 @@ type result = {
 
 let drain (s : subject) =
   let o = s.register () in
-  let buf = Array.make s.batch 0 in
-  let rec go acc =
-    match o.dequeue buf with
-    | 0 -> acc
-    | n -> go (List.rev_append (Array.to_list (Array.sub buf 0 n)) acc)
-  in
+  let rec go acc = match o.dequeue_or empty with v when v = empty -> acc | v -> go (v :: acc) in
   let vs = go [] in
   o.retire ();
   vs
@@ -178,41 +155,22 @@ let run (s : subject) shape ~domains ~ops faults =
   let finished = Atomic.make 0 in
   let is_victim = Domain.DLS.new_key (fun () -> false) in
   let work d o =
-    (* one enqueue and one dequeue buffer per domain (a short tail batch
-       gets its own): the loop allocates nothing per operation, so the
-       harness's minor collections do not pace the subject *)
-    let ebuf = Array.make s.batch 0 and buf = Array.make s.batch 0 in
-    let take out n =
-      for j = 0 to n - 1 do
-        got.(d) <- out.(j) :: got.(d)
-      done
-    in
-    if d < producers then begin
-      let i = ref 0 in
-      while !i < ops do
-        let k = min s.batch (ops - !i) in
-        let vs = if k = s.batch then ebuf else Array.make k 0 in
-        for j = 0 to k - 1 do
-          vs.(j) <- (d * ops) + !i + j
-        done;
-        o.enqueue vs;
-        i := !i + k;
-        committed.(d) <- !i;
+    let take v = if v <> empty then got.(d) <- v :: got.(d) in
+    if d < producers then
+      for i = 0 to ops - 1 do
+        o.enqueue ((d * ops) + i);
+        committed.(d) <- i + 1;
         (match s.invariant ~settled:false with Some _ as b -> Atomic.set breach b | None -> ());
-        if pairs then begin
-          let out = if k = s.batch then buf else Array.make k 0 in
-          take out (o.dequeue out)
-        end
+        if pairs then take (o.dequeue_or empty)
       done
-    end
     else
       while
-        match o.dequeue buf with
-        | 0 ->
+        match o.dequeue_or empty with
+        | v when v = empty ->
           Domain.cpu_relax ();
           Atomic.get producing > 0
-        | n ->
-          take buf n;
+        | v ->
+          take v;
           true
       do
         ()
@@ -265,7 +223,7 @@ let run (s : subject) shape ~domains ~ops faults =
     audit =
       (if settled then
          Some
-           (audit ~ops ~batch:s.batch ~committed ~outcomes
+           (audit ~ops ~committed ~outcomes
               (Array.fold_left (fun acc l -> List.rev_append l acc) drained got))
        else None);
   }

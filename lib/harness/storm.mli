@@ -48,35 +48,29 @@ val victims : faults -> domains:int -> int
 (** {1 Subjects} *)
 
 type ops = {
-  enqueue : int array -> unit;  (** enqueue every value, in order, as one batch *)
-  dequeue : int array -> int;
-      (** fill a prefix of the buffer, return its length; [0] reads
-          empty *)
+  enqueue : int -> unit;
+  dequeue_or : int -> int;  (** the value, or the argument when empty *)
   retire : unit -> unit;
 }
-(** One registered handle's view of a subject. *)
-
-val single : enqueue:(int -> unit) -> dequeue_or:(int -> int) -> retire:(unit -> unit) -> ops
-(** Batch-of-one ops from a single-value queue interface. *)
+(** One registered handle's view of a subject, one value per
+    operation. *)
 
 type subject
 
 val subject :
-  ?batch:int ->
   ?invariant:(settled:bool -> string option) ->
   ?footprint:(Format.formatter -> unit) ->
   (unit -> ops) ->
   subject
-(** [subject register] with [batch] (default 1) values per operation.
-    [invariant] is checked after every committed enqueue
-    ([settled = false]) and once after the post-storm drain
+(** [subject register].  [invariant] is checked after every committed
+    enqueue ([settled = false]) and once after the post-storm drain
     ([settled = true]); [Some msg] is a violation.  [footprint] prints
     the subject's state in the report. *)
 
 (** {1 Runner} *)
 
 type shape =
-  | Pairs  (** every domain enqueues a batch, then dequeues one *)
+  | Pairs  (** every domain enqueues a value, then dequeues one *)
   | Split of int
       (** the first [n] domains produce; the rest dequeue until every
           producer has finished and a dequeue reads empty *)
@@ -106,16 +100,15 @@ val run : subject -> shape -> domains:int -> ops:int -> faults -> result
 
 type audit = { missing : int; allowed : int; violations : string list }
 
-val audit :
-  ops:int -> batch:int -> committed:int array -> outcomes:outcome array -> int list -> audit
+val audit : ops:int -> committed:int array -> outcomes:outcome array -> int list -> audit
 (** The conservation rule:
     - no value is dequeued twice;
-    - every value is inside its owner's committed prefix, or in the
-      in-flight batch after it when the owner was killed;
-    - at most [allowed] = (dequeue-side kills) x [batch] committed
-      values are missing.  Every kill is dequeue-side except an
-      enqueue-side one (the [Enqueue] class and [Enq_batch_after_faa]),
-      which lands before its batch commits and strands nothing.
+    - every value is inside its owner's committed prefix, or is the
+      one in-flight value after it when the owner was killed;
+    - at most [allowed] = (dequeue-side kills) committed values are
+      missing.  Every kill is dequeue-side except one of the [Enqueue]
+      class, which lands before its enqueue commits and strands
+      nothing.
     Kills are read from {!Inject}'s counters, which
     {!with_controller} zeroes. *)
 

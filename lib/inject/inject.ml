@@ -6,8 +6,6 @@ type point =
   | Enq_slow_pre_commit
   | Deq_fast_after_faa
   | Deq_slow_published
-  | Enq_batch_after_faa
-  | Deq_batch_after_faa
   | Help_enq_pre_claim
   | Help_deq_pre_close
   | Cleanup_token_held
@@ -18,7 +16,7 @@ type point =
   | Sched_park_pending
   | Sched_resolve_pending
 
-type cls = Enqueue | Dequeue | Batch | Helping | Cleanup | Hazard | Pool | Sched
+type cls = Enqueue | Dequeue | Helping | Cleanup | Hazard | Pool | Sched
 
 (* New points append at the end of [all_points]: [Plan.make] draws its
    per-point ordinals in this order, so appending keeps the arming of
@@ -32,8 +30,6 @@ let all_points =
     Enq_slow_pre_commit;
     Deq_fast_after_faa;
     Deq_slow_published;
-    Enq_batch_after_faa;
-    Deq_batch_after_faa;
     Help_enq_pre_claim;
     Help_deq_pre_close;
     Cleanup_token_held;
@@ -51,24 +47,21 @@ let index = function
   | Enq_slow_pre_commit -> 2
   | Deq_fast_after_faa -> 3
   | Deq_slow_published -> 4
-  | Enq_batch_after_faa -> 5
-  | Deq_batch_after_faa -> 6
-  | Help_enq_pre_claim -> 7
-  | Help_deq_pre_close -> 8
-  | Cleanup_token_held -> 9
-  | Hazard_published -> 10
-  | Seg_pool_acquire -> 11
-  | Seg_pool_release -> 12
-  | Sched_steal_pending -> 13
-  | Sched_park_pending -> 14
-  | Sched_resolve_pending -> 15
+  | Help_enq_pre_claim -> 5
+  | Help_deq_pre_close -> 6
+  | Cleanup_token_held -> 7
+  | Hazard_published -> 8
+  | Seg_pool_acquire -> 9
+  | Seg_pool_release -> 10
+  | Sched_steal_pending -> 11
+  | Sched_park_pending -> 12
+  | Sched_resolve_pending -> 13
 
 let n_points = List.length all_points
 
 let class_of = function
   | Enq_fast_after_faa | Enq_slow_published | Enq_slow_pre_commit -> Enqueue
   | Deq_fast_after_faa | Deq_slow_published -> Dequeue
-  | Enq_batch_after_faa | Deq_batch_after_faa -> Batch
   | Help_enq_pre_claim | Help_deq_pre_close -> Helping
   | Cleanup_token_held -> Cleanup
   | Hazard_published -> Hazard
@@ -81,8 +74,6 @@ let point_name = function
   | Enq_slow_pre_commit -> "enq_slow_pre_commit"
   | Deq_fast_after_faa -> "deq_fast_after_faa"
   | Deq_slow_published -> "deq_slow_published"
-  | Enq_batch_after_faa -> "enq_batch_after_faa"
-  | Deq_batch_after_faa -> "deq_batch_after_faa"
   | Help_enq_pre_claim -> "help_enq_pre_claim"
   | Help_deq_pre_close -> "help_deq_pre_close"
   | Cleanup_token_held -> "cleanup_token_held"
@@ -96,7 +87,6 @@ let point_name = function
 let class_name = function
   | Enqueue -> "enqueue"
   | Dequeue -> "dequeue"
-  | Batch -> "batch"
   | Helping -> "helping"
   | Cleanup -> "cleanup"
   | Hazard -> "hazard"

@@ -11,12 +11,14 @@
     This module names those windows as {e injection points} and lets a
     harness deliberately stall ([Park]) or kill ([Die]) a victim
     thread exactly there.  The queue algorithm takes an injector as a
-    compile-time functor argument (exactly like the {!Obs.Probe}): the
-    {!Disabled} instantiation compiles to nothing on the production
-    build (test_inject's "injector wiring per build" runs it under an
-    always-park controller and sees no hit; test_alloc's exact rows
-    show the hooks cost no allocation), while {!Enabled} consults a
-    globally installed controller.
+    functor argument (exactly like the {!Obs.Probe}).  On the
+    production build the {!Disabled} instantiation never fires
+    (test_inject's "injector wiring per build" runs it under an
+    always-park controller and sees no hit) and allocates nothing
+    (test_alloc's exact rows), but each site's gate still costs a load
+    from the functor argument and a branch: OCaml 5.1.1 without
+    flambda does not specialise the functor (DESIGN.md §9).
+    {!Enabled} consults a globally installed controller.
 
     Faults are replayable: {!Plan} derives every decision from a
     {!Primitives.Splitmix64} seed, so a failing storm reprints as
@@ -43,13 +45,6 @@
       not yet helped/claimed its cell.
     - [Deq_slow_published]: a dequeue request is visible; peers must
       finish it.
-    - [Enq_batch_after_faa]: a batch enqueuer reserved [k] consecutive
-      tail tickets with one FAA but has deposited none of the values —
-      the widest abandoned-window the algorithm can create; every
-      reserved cell must be completable (poisoned or helped) without
-      the owner.
-    - [Deq_batch_after_faa]: a batch dequeuer consumed [k] consecutive
-      head tickets but has claimed none of its cells.
     - [Help_enq_pre_claim]: a helper is about to claim a peer's
       enqueue request for a cell.
     - [Help_deq_pre_close]: a helper is about to close a peer's
@@ -104,8 +99,6 @@ type point =
   | Enq_slow_pre_commit
   | Deq_fast_after_faa
   | Deq_slow_published
-  | Enq_batch_after_faa
-  | Deq_batch_after_faa
   | Help_enq_pre_claim
   | Help_deq_pre_close
   | Cleanup_token_held
@@ -116,7 +109,7 @@ type point =
   | Sched_park_pending
   | Sched_resolve_pending
 
-type cls = Enqueue | Dequeue | Batch | Helping | Cleanup | Hazard | Pool | Sched
+type cls = Enqueue | Dequeue | Helping | Cleanup | Hazard | Pool | Sched
 
 val all_points : point list
 val class_of : point -> cls
@@ -144,9 +137,9 @@ exception Killed of point
 
 module type S = sig
   val enabled : bool
-  (** Compile-time constant of the instantiation; every injection site
-      is [if I.enabled then I.hit P], so the disabled build keeps the
-      bare hot path. *)
+  (** Fixed per instantiation; every injection site is
+      [if I.enabled then I.hit P], so the disabled build skips every
+      hit at the cost of the gate's load and branch. *)
 
   val hit : point -> unit
 end

@@ -28,12 +28,6 @@ type t = {
   mutable cells_skipped : int;
   mutable help_enqueues : int;
   mutable help_dequeues : int;
-  mutable enq_batches : int;
-  mutable deq_batches : int;
-  mutable enq_batch_cells : int;
-  mutable deq_batch_cells : int;
-  mutable enq_batch_fallbacks : int;
-  mutable deq_batch_fallbacks : int;
 }
 
 let create () =
@@ -48,12 +42,6 @@ let create () =
     cells_skipped = 0;
     help_enqueues = 0;
     help_dequeues = 0;
-    enq_batches = 0;
-    deq_batches = 0;
-    enq_batch_cells = 0;
-    deq_batch_cells = 0;
-    enq_batch_fallbacks = 0;
-    deq_batch_fallbacks = 0;
   }
 
 let create_padded () = Primitives.Padding.copy_as_padded (create ())
@@ -68,13 +56,7 @@ let reset t =
   t.deq_cas_failures <- 0;
   t.cells_skipped <- 0;
   t.help_enqueues <- 0;
-  t.help_dequeues <- 0;
-  t.enq_batches <- 0;
-  t.deq_batches <- 0;
-  t.enq_batch_cells <- 0;
-  t.deq_batch_cells <- 0;
-  t.enq_batch_fallbacks <- 0;
-  t.deq_batch_fallbacks <- 0
+  t.help_dequeues <- 0
 
 let add ~into t =
   into.fast_enqueues <- into.fast_enqueues + t.fast_enqueues;
@@ -86,13 +68,7 @@ let add ~into t =
   into.deq_cas_failures <- into.deq_cas_failures + t.deq_cas_failures;
   into.cells_skipped <- into.cells_skipped + t.cells_skipped;
   into.help_enqueues <- into.help_enqueues + t.help_enqueues;
-  into.help_dequeues <- into.help_dequeues + t.help_dequeues;
-  into.enq_batches <- into.enq_batches + t.enq_batches;
-  into.deq_batches <- into.deq_batches + t.deq_batches;
-  into.enq_batch_cells <- into.enq_batch_cells + t.enq_batch_cells;
-  into.deq_batch_cells <- into.deq_batch_cells + t.deq_batch_cells;
-  into.enq_batch_fallbacks <- into.enq_batch_fallbacks + t.enq_batch_fallbacks;
-  into.deq_batch_fallbacks <- into.deq_batch_fallbacks + t.deq_batch_fallbacks
+  into.help_dequeues <- into.help_dequeues + t.help_dequeues
 
 let absorb ~into t =
   add ~into t;
@@ -118,12 +94,7 @@ let pp ppf t =
     t.fast_enqueues t.slow_enqueues (slow_enqueue_pct t) t.fast_dequeues t.slow_dequeues
     (slow_dequeue_pct t) t.empty_dequeues (empty_dequeue_pct t)
 
-let avg_enq_batch t = ratio t.enq_batch_cells t.enq_batches
-let avg_deq_batch t = ratio t.deq_batch_cells t.deq_batches
-
 let pp_events ppf t =
   Format.fprintf ppf
-    "cas failures: %d enq / %d deq; cells skipped: %d; helped: %d enq / %d deq; batches: %d enq (avg %.1f, %d fb) / %d deq (avg %.1f, %d fb)"
+    "cas failures: %d enq / %d deq; cells skipped: %d; helped: %d enq / %d deq"
     t.enq_cas_failures t.deq_cas_failures t.cells_skipped t.help_enqueues t.help_dequeues
-    t.enq_batches (avg_enq_batch t) t.enq_batch_fallbacks t.deq_batches (avg_deq_batch t)
-    t.deq_batch_fallbacks

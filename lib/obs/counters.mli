@@ -44,19 +44,6 @@ type t = {
   mutable help_dequeues : int;
       (** Peer dequeue requests this handle did pending helping work
           for (help_deq entered with work to do, Listing 4). *)
-  mutable enq_batches : int;
-      (** [enq_batch] calls that reserved at least one cell (one FAA
-          each, regardless of batch size). *)
-  mutable deq_batches : int;  (** Likewise for [deq_batch]. *)
-  mutable enq_batch_cells : int;
-      (** Cells reserved across all [enq_batch] calls;
-          [enq_batch_cells / enq_batches] is the realized amortization
-          factor (cells per tail FAA). *)
-  mutable deq_batch_cells : int;
-  mutable enq_batch_fallbacks : int;
-      (** Batch cells whose fast-path deposit failed and fell back to
-          the per-cell slow path (partial-batch fallbacks). *)
-  mutable deq_batch_fallbacks : int;
 }
 
 val create : unit -> t
@@ -98,12 +85,6 @@ val per_million : float -> float
 
 val pp : Format.formatter -> t -> unit
 (** Path tier one-liner (the historic [Op_stats.pp] format). *)
-
-val avg_enq_batch : t -> float
-(** Mean cells reserved per enqueue-side tail FAA (0 when no batches
-    ran) — the amortization factor the batch path exists to buy. *)
-
-val avg_deq_batch : t -> float
 
 val pp_events : Format.formatter -> t -> unit
 (** Event tier one-liner (all zeros on a [Probe.Disabled] build). *)

@@ -124,6 +124,7 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
     Array.init (workers + 1) (fun _ -> Primitives.Padding.make_padded_atomic 0)
 
   let bump (s : slots) i = ignore (Atomic.fetch_and_add s.(i) 1)
+  let unbump (s : slots) i = ignore (Atomic.fetch_and_add s.(i) (-1))
   let sum (s : slots) = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 s
 
   type pool = {
@@ -198,11 +199,17 @@ module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
   (* A task's resolve: an injected kill in the commit window kills
      this worker, but only after the death handler resolves the
      still-pending promise with the death exception — the
-     no-stranding contract for [Sched_resolve_pending]. *)
+     no-stranding contract for [Sched_resolve_pending].  The task is
+     counted before its result is published, so whoever sees the
+     promise resolved also sees it in [tasks_completed]; a resolve
+     that loses or dies takes the count back. *)
   let complete pool prom r =
+    let slot = slot_of pool in
+    bump pool.completed slot;
     match Core.Promise.try_resolve prom r with
-    | won -> if won then bump pool.completed (slot_of pool)
+    | won -> if not won then unbump pool.completed slot
     | exception (Inject.Killed _ as death) ->
+      unbump pool.completed slot;
       ignore (resolve_hard prom (Error death) : bool);
       raise death
 

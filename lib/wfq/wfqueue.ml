@@ -3,8 +3,3 @@
    mapping; see DESIGN.md for the port notes. *)
 
 include Wfqueue_algo.Make (Atomic_prims.Real) (Obs.Probe.Disabled) (Inject.Disabled)
-
-(* Rebinding, not a fresh declaration: every instantiation shares one
-   exception identity, so a single handler matches regardless of
-   which build raised. *)
-exception Would_block = Wfqueue_algo.Would_block

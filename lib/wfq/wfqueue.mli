@@ -42,13 +42,6 @@
 type 'a t
 type 'a handle
 
-exception Would_block
-(** Raised by {!enqueue_exn}/{!enq_batch_exn} when a bounded queue's
-    admission check rejects the operation.  The same exception value
-    across every instantiation of the algorithm (this module,
-    [Wfqueue_obs], [Wfqueue_inject], the simsched build), so one
-    handler covers them all. *)
-
 val create :
   ?patience:int ->
   ?segment_shift:int ->
@@ -80,8 +73,8 @@ val create :
     on a budget-guarded freelist: when the budget is spent and the
     freelist is empty, the acquiring operation waits (backpressure)
     for a cleanup to recycle a segment.  The cap is a {b hard} memory
-    bound; admission ({!try_enqueue}/{!enqueue_exn}) is an {e
-    advisory} index-distance check layered above it so producers can
+    bound; admission ({!try_enqueue}) is an {e advisory}
+    index-distance check layered above it so producers can
     observe fullness without blocking.  Requires
     [segment_cap >= max_garbage + 4] (cleanup must always be able to
     reach its threshold with segments to spare) and [reclamation =
@@ -117,10 +110,6 @@ val try_enqueue : 'a t -> 'a handle -> 'a -> bool
     but the segment cap itself stays hard (overshooting producers
     block in acquisition).  Unbounded queues always admit. *)
 
-val enqueue_exn : 'a t -> 'a handle -> 'a -> unit
-(** {!try_enqueue} raising {!Would_block} instead of returning
-    [false]. *)
-
 val dequeue : 'a t -> 'a handle -> 'a option
 (** Wait-free dequeue (Listing 4); [None] means the queue was
     observed empty (the paper's EMPTY).  Unlike Listing 4, EMPTY is
@@ -141,55 +130,6 @@ val dequeue_or : 'a t -> 'a handle -> 'a -> 'a
     default (see DESIGN.md, allocation discipline).  The caller must
     pick a [default] it can distinguish from a queued value (or not
     care, e.g. polling loops counting successes via a sentinel). *)
-
-val enq_batch : 'a t -> 'a handle -> 'a array -> unit
-(** Wait-free batch enqueue: reserves [Array.length vs] consecutive
-    cells with a {e single} FAA on the tail index — the amortization
-    the paper's one-FAA-per-op hot path suggests — then deposits each
-    value with the fast-path CAS, falling back to the per-cell
-    slow path ({!Internal.enq_slow}) for any cell poisoned in the
-    meantime.  Wait-free cell by cell for the same reason single
-    enqueues are.  The batch is {b not atomic}: each value is a
-    separate enqueue whose linearization point falls somewhere in the
-    call's interval, in cell (= FIFO) order on the uncontended path.
-    A zero-length batch is a no-op (no FAA).  In bounded mode the
-    batch waits at the admission line like {!enqueue}, for
-    [min k enq_capacity] cells of room — a batch wider than the line
-    could never be admitted whole, so the allocation budget absorbs
-    the excess. *)
-
-val try_enq_batch : 'a t -> 'a handle -> 'a array -> bool
-(** Admission-checked {!enq_batch}: the whole batch is admitted or
-    rejected as a unit ([tail - head + k <= enq_capacity]), with the
-    same advisory-admission/hard-cap contract as {!try_enqueue}. *)
-
-val enq_batch_exn : 'a t -> 'a handle -> 'a array -> unit
-(** {!try_enq_batch} raising {!Would_block} on rejection. *)
-
-val deq_batch : 'a t -> 'a handle -> int -> 'a option array
-(** Wait-free batch dequeue: reserves [k] consecutive cells with one
-    FAA on the head index and resolves each like a fast-path dequeue
-    (help the enqueue, claim the value), falling back to the per-cell
-    slow path on interference.  Returns exactly [k] slots in cell
-    order; [None] slots are EMPTY observations.  Like {!dequeue}, a
-    batch that finds head >= tail answers [k] EMPTYs before the FAA,
-    taking no ticket; otherwise it reserves all [k] cells, and the
-    slots past the values the queue held are EMPTY (poisoned cells,
-    as in Listing 4 — size [k] from {!approx_length} when that
-    matters).  Not atomic, same contract as {!enq_batch}.  [k <= 0]
-    returns [[||]] without consuming tickets. *)
-
-val deq_batch_into : 'a t -> 'a handle -> 'a array -> default:'a -> int
-(** Allocation-free {!deq_batch}: reserves [Array.length out]
-    consecutive cells with one FAA and writes the dequeued values bare
-    into [out.(0) .. out.(n-1)] in cell order (compacted — EMPTY
-    observations are skipped, not represented), fills [out.(n) ..] with
-    [default], and returns [n].  No [Some] box per cell and no result
-    array: zero minor words per call in the production build
-    (Alloc_bench row "wf-10-deq-batch-into").  Same non-atomicity and
-    EMPTY-before-the-FAA contract as {!deq_batch}; [default] needs no
-    distinguishability property because the count [n] is the
-    authority.  A zero-length [out] is a no-op returning [0]. *)
 
 val push : 'a t -> 'a -> unit
 (** {!enqueue} with a per-domain handle managed internally.  The hot
@@ -301,8 +241,9 @@ val probe_enabled : bool
 
 val injector_enabled : bool
 (** Whether this instantiation compiles in the {!Inject} fault-
-    injection points.  [false] here (the production build pays
-    nothing); [true] in [Wfqueue_inject]. *)
+    injection points.  [false] here (no point can fire, though each
+    gate still costs a load and a branch; see [Wfqueue_algo]'s
+    header); [true] in [Wfqueue_inject]. *)
 
 val retire : 'a t -> 'a handle -> unit
 (** Declare the handle's owning thread gone (dead or deregistered):
@@ -395,12 +336,6 @@ module Internal : sig
       ever created, and a dropped segment's budget is never
       returned). *)
 
-  val seg_budget : 'a t -> int
-  (** Remaining fresh-allocation budget (bounded mode: starts at
-      [cap - 1], the initial segment having consumed one).  May read
-      transiently negative under concurrent acquires (losers give
-      their reservation back).  [max_int]-ish when unbounded. *)
-
   val pool_length : 'a t -> int
   (** Actual length of the pool's free list (walks it).  The
       size-accounting invariant: [pooled_segments] never exceeds
@@ -417,19 +352,4 @@ module Internal : sig
   val set_hazard : 'a t -> 'a handle -> [ `Head | `Tail | `Null ] -> unit
   (** Manipulate the handle's hazard pointer as the operation
       prologues/epilogues do. *)
-
-  val set_trace : (string -> unit) option -> unit
-  (** Install (or clear) a protocol trace hook: every key transition
-      (FAA ticket, reservation, claim, commit, poison, announce,
-      retire, recycle) reports a line.  Debugging/model-checking
-      only. *)
-
-  val cell_debug : 'a cell -> 'a handle -> string
-  (** One-line description of a cell's three fields; request fields
-      are identified relative to the given handle.  Debugging only. *)
-
-  val debug_dump : 'a t -> Format.formatter -> unit
-  (** Racy snapshot of indices, segment ids and per-handle request
-      states, for diagnosing stuck executions.  Values read without
-      synchronization; only for debugging output. *)
 end

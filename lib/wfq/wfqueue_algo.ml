@@ -13,26 +13,24 @@
    model-checked is the code that ships.
 
    Instrumentation discipline ([P] : Obs.Probe.S): every event-tier
-   record site is [if P.enabled then <plain-int increment>].
-   [P.enabled] is a compile-time constant of the instantiation, so the
-   disabled build keeps the bare hot path (verified by benchmarking
-   wf-10 against wf-10-obs; see DESIGN.md, observability section).
-   The path-tier counters (fast/slow/empty outcomes) predate the probe
-   and stay unconditional.  Protocol tracing rides a two-conjunct
-   gate: every [tracef (fun () -> ...)] site sits under
-   [if tracing ()] = [P.enabled && hook installed], so the disabled
-   build never constructs the trace thunk — a closure per operation,
-   the dominant fast-path allocation before the PR-6 audit — and the
-   probe-enabled builds (simsched, _obs, _inject) only construct it
-   while a hook is actually listening, keeping even the instrumented
-   hot path allocation-free (pinned by test/test_alloc.ml).
+   record site is [if P.enabled then <plain-int increment>].  The
+   path-tier counters (fast/slow/empty outcomes) predate the probe
+   and stay unconditional.
 
    Injection discipline ([I] : Inject.S): every adversarial window is
-   [if I.enabled then I.hit <point>] — same compile-time-constant
-   gating, same bench-gate verification that the disabled build pays
-   nothing.  A hit may return (no fault or a finished stall) or raise
-   [Inject.Killed] (simulated thread death); the point map and the
-   recovery story are in DESIGN.md §7.
+   [if I.enabled then I.hit <point>].  A hit may return (no fault or a
+   finished stall) or raise [Inject.Killed] (simulated thread death);
+   the point map and the recovery story are in DESIGN.md §7.
+
+   What the gates cost: the functor is applied at run time, so on
+   OCaml 5.1.1 without flambda a disabled gate is not compiled away.
+   Each [P.enabled] or [I.enabled] test is a load from the functor
+   argument plus a never-taken branch, and each [A.*] primitive is an
+   indirect call ([caml_apply2] for [fetch_and_add] and [set],
+   [caml_apply3] for [compare_and_set], a closure call for [get]) —
+   read in the [-S] output of this file.  What the disabled builds do
+   keep is the allocation-free hot path: no gate builds a closure or a
+   box (pinned by test/test_alloc.ml).
 
    Allocation discipline (DESIGN.md, allocation section): the
    fast paths — enq_fast, the deq fast attempt including its
@@ -46,11 +44,6 @@
    size.  [test/test_alloc.ml] pins the fast-path zero with
    [Gc.minor_words]; the alloc rows in the bench JSON gate it in
    CI. *)
-
-(* Bounded-mode backpressure, at the library's top level (not inside
-   [Make]) so every instantiation raises the one same exception and a
-   caller needs a single handler whichever build raised it. *)
-exception Would_block
 
 module Make (A : Atomic_prims.S) (P : Obs.Probe.S) (I : Inject.S) = struct
 (* Port of Listings 2-5 of Yang & Mellor-Crummey, "A Wait-free Queue
@@ -70,22 +63,6 @@ module Make (A : Atomic_prims.S) (P : Obs.Probe.S) (I : Inject.S) = struct
      consistent), subsuming every fence the paper discusses. *)
 
 module Packed = Primitives.Packed_state
-
-(* Optional protocol tracing, for the model-checking harness: when a
-   hook is installed every key protocol transition reports itself.
-   Call sites are gated by [tracing ()] (see the header), so on a
-   disabled instantiation [set_trace] is accepted but never fires. *)
-let trace_hook : (string -> unit) option ref = ref None
-let set_trace f = trace_hook := f
-let tracef f = match !trace_hook with None -> () | Some out -> out (f ())
-
-(* The call-site gate for tracing: the compile-time probe constant AND
-   a hook actually installed.  The second conjunct matters for the
-   instrumented build — without it every site would still construct
-   its closure (and its captures) per operation even when nobody is
-   listening, and the enabled build would allocate on the hot path. *)
-let[@inline] tracing () =
-  P.enabled && (match !trace_hook with None -> false | Some _ -> true)
 
 (* The value plane's reserved words.  The paper's ⊥ and ⊤ become two
    private heap blocks: [Obj.repr] of a ref cell nobody else can ever
@@ -108,13 +85,10 @@ let[@inline] is_value w = w != bottom_w && w != top_w
    ever changes (pending -> claimed, exactly once).  The paper reuses
    a single per-thread record, which is sound only while every new
    request id exceeds every cell id a stale helper of an older request
-   may still compare against; the batch entry points broke that
-   side condition (a batch reserves its tickets up front, so a later
-   ticket can be numerically smaller than an earlier request's
-   announced candidate) and the resulting packed-word ABA let a stale
-   helper close a *reused* record against the wrong request.  A fresh
-   record per request makes every state CAS and every [Enq_req r]
-   identity unambiguous, independent of id arithmetic. *)
+   may still compare against.  One record per request keeps every
+   state CAS and every [Enq_req r] identity unambiguous without
+   relying on that id order: a stale helper holds a closed record,
+   and nothing it does can reach a newer request. *)
 type enq_request = { enq_value : Obj.t; enq_state : Packed.t A.t }
 type enq_link = Enq_bottom | Enq_top | Enq_req of enq_request
 
@@ -154,7 +128,7 @@ let settled_deq_request () = { deq_id = 0; deq_state = A.make Packed.initial }
    reads of a freshly initialized one. *)
 type 'a segment = {
   mutable seg_id : int;
-  uid : int; (* physical identity, stable across pool relabeling *)
+  uid : int; (* physical identity, stable across pool relabeling; unread *)
   next : 'a segment option A.t;
   values : Obj.t A.t array;
   enqs : enq_link A.t array;
@@ -170,7 +144,7 @@ type 'a pool_node = { pooled : 'a segment; rest : 'a pool_node option }
 type 'a free_node = { freed : 'a handle; more : 'a free_node option }
 
 and 'a handle = {
-  hid : int; (* registration order, used only by tracing/debugging *)
+  hid : int; (* registration order; unread *)
   head : 'a segment A.t;
   tail : 'a segment A.t;
   (* Ring link; [None] means "points to itself" so a fresh handle is a
@@ -372,7 +346,6 @@ let pool_push q s =
     link ()
 
 let reset_segment s =
-  if tracing () then tracef (fun () -> Printf.sprintf "reset: uid=%d seg=%d" s.uid s.seg_id);
   Array.iter (fun v -> A.set v bottom_w) s.values;
   Array.iter (fun e -> A.set e Enq_bottom) s.enqs;
   Array.iter (fun d -> A.set d Deq_bottom) s.deqs
@@ -413,7 +386,6 @@ let next_live_handle h = next_live_from h (next_handle h)
    domain-termination hook. *)
 let retire q h =
   if Atomic.compare_and_set h.retired false true then begin
-    if tracing () then tracef (fun () -> Printf.sprintf "h%d retire" h.hid);
     A.set h.hzdp q.null_segment;
     let rec push () =
       let top = A.get q.free_handles in
@@ -451,7 +423,6 @@ let rec acquire_cleanup_token q =
    is closed and immutable apart from its already-settled state, so
    nothing it does can reach the new owner's requests. *)
 let recycle_handle q h seg =
-  if tracing () then tracef (fun () -> Printf.sprintf "h%d recycle slot" h.hid);
   Op_stats.absorb ~into:q.departed_stats h.stats;
   A.set h.head seg;
   A.set h.tail seg;
@@ -540,11 +511,11 @@ let update q (from_ : 'a segment A.t) (to_ : 'a segment ref) owner =
 (* L.222-238.  One deliberate strengthening over the pseudocode: §3.6
    states that a segment is retired only once "both T and H have
    moved past i×N", but Listing 5 derives the reclaim candidate [e]
-   from head pointers alone.  When H runs ahead of T (a batch
-   dequeue reserves k cells past the last value; dequeuers that passed
-   the EMPTY check race for the last one) that lets [e] pass segments
-   that future enqueues, whose FAA tickets trail H, must still reach.  We cap [e] at
-   segment(min(T,H)/N) to enforce the stated condition.
+   from head pointers alone.  When H runs ahead of T (dequeuers that
+   passed the EMPTY check race for the last value) that lets [e] pass
+   segments that future enqueues, whose FAA tickets trail H, must
+   still reach.  We cap [e] at segment(min(T,H)/N) to enforce the
+   stated condition.
 
    The threshold test runs on every dequeue; everything it needs is
    read into locals first, and the scan's [ref]s are only built once
@@ -643,10 +614,6 @@ let cleanup_candidate q h e0 =
          is safe in the original.  Collect first — pushing to the
          pool reuses the next fields the walk follows. *)
       let first = A.get q.q in
-      if tracing () then
-        tracef (fun () ->
-            Printf.sprintf "h%d cleanup: retiring segs [%d,%d) (uids %d..)" h.hid first.seg_id
-              (!e).seg_id first.uid);
       A.set q.q !e;
       release_token (!e).seg_id;
       ignore (A.fetch_and_add q.reclaimed ((!e).seg_id - i));
@@ -737,18 +704,12 @@ let cleanup q h = cleanup_candidate q h (A.get h.head)
 let rec obtain_segment q h advance chain_end seg_id =
   match pool_pop q with
   | Some s ->
-    if tracing () then
-      tracef (fun () ->
-          Printf.sprintf "obtain: recycle uid=%d as seg=%d (was %d)" s.uid seg_id s.seg_id);
     s.seg_id <- seg_id;
     s
   | None ->
     if A.fetch_and_add q.seg_budget (-1) > 0 then begin
       ignore (A.fetch_and_add q.allocated 1);
-      let s = new_segment q.seg_shift seg_id in
-      if tracing () then
-        tracef (fun () -> Printf.sprintf "obtain: fresh uid=%d seg=%d" s.uid seg_id);
-      s
+      new_segment q.seg_shift seg_id
     end
     else begin
       ignore (A.fetch_and_add q.seg_budget 1);
@@ -786,10 +747,6 @@ let rec find_cell_walk q h who advance cell_id target s =
     match A.get s.next with
     | Some next -> find_cell_walk q h who advance cell_id target next
     | None ->
-      if tracing () then
-        tracef (fun () ->
-            Printf.sprintf "find_cell[%s]: extend from seg %d toward %d (cell %d)" who s.seg_id
-              target cell_id);
       let fresh = obtain_segment q h advance s (s.seg_id + 1) in
       if A.compare_and_set s.next None (Some fresh) then
         find_cell_walk q h who advance cell_id target fresh
@@ -879,20 +836,11 @@ let enq_fast (q : 'a t) (h : 'a handle) (v : 'a) =
   (* ticket [i] is consumed but nothing is deposited yet: a stall here
      forces dequeuers to poison the cell; a death abandons it *)
   if I.enabled then I.hit Inject.Enq_fast_after_faa;
-  if tracing () then
-    tracef (fun () ->
-        let t = A.get h.tail in
-        Printf.sprintf "h%d enq_fast: ticket %d, tail seg=%d uid=%d hzdp seg=%d" h.hid i t.seg_id
-          t.uid (A.get h.hzdp).seg_id);
   let s = find_cell ~who:"enq_fast" ~advance:true q h (A.get h.tail) i in
   A.set h.tail s;
-  if A.compare_and_set s.values.(i land q.seg_mask) bottom_w (Obj.repr v) then begin
-    if tracing () then tracef (fun () -> Printf.sprintf "h%d enq_fast: deposit at %d" h.hid i);
-    -1
-  end
+  if A.compare_and_set s.values.(i land q.seg_mask) bottom_w (Obj.repr v) then -1
   else begin
     if P.enabled then h.stats.enq_cas_failures <- h.stats.enq_cas_failures + 1;
-    if tracing () then tracef (fun () -> Printf.sprintf "h%d enq_fast: cell %d unusable" h.hid i);
     i
   end
 
@@ -905,18 +853,9 @@ let rec enq_slow_acquire q h r cell_id tmp_tail =
   let s = find_cell ~who:"enq_slow_acq" q h tmp_tail i in
   let j = i land q.seg_mask in
   (* L.79-84, Dijkstra's protocol with the helpers *)
-  if
-    (let won = A.compare_and_set s.enqs.(j) Enq_bottom (Enq_req r) in
-     if tracing () then
-       tracef (fun () -> Printf.sprintf "h%d enq_slow: reserve cell %d -> %b" h.hid i won);
-     won)
-    && A.get s.values.(j) == bottom_w
-  then begin
-    let claimed = try_to_claim_req r.enq_state ~id:cell_id ~cell_id:i in
-    if tracing () then
-      tracef (fun () -> Printf.sprintf "h%d enq_slow: self-claim at %d -> %b" h.hid i claimed)
-    (* invariant: request claimed (even if the claim CAS failed) *)
-  end
+  if A.compare_and_set s.enqs.(j) Enq_bottom (Enq_req r) && A.get s.values.(j) == bottom_w then
+    (* afterwards the request is claimed (even if this claim CAS failed) *)
+    ignore (try_to_claim_req r.enq_state ~id:cell_id ~cell_id:i)
   else if Packed.pending (A.get r.enq_state) then begin
     (* ticket [i] was consumed but the transfer did not complete
        there: the cell is abandoned to the dequeuers' help_enq *)
@@ -931,7 +870,6 @@ let enq_slow (q : 'a t) (h : 'a handle) (v : 'a) cell_id =
      reachable, so helpers never observe a half-published request.
      The allocation is confined to the slow path (patience already
      exhausted); the fast path stays allocation-free. *)
-  if tracing () then tracef (fun () -> Printf.sprintf "h%d enq_slow: publish id=%d" h.hid cell_id);
   let r =
     { enq_value = Obj.repr v; enq_state = A.make (Packed.make ~pending:true ~id:cell_id) }
   in
@@ -942,8 +880,6 @@ let enq_slow (q : 'a t) (h : 'a handle) (v : 'a) cell_id =
   enq_slow_acquire q h r cell_id (A.get h.tail);
   (* L.86-88: the request is claimed for some cell; find it, commit. *)
   let id = Packed.id (A.get r.enq_state) in
-  if tracing () then
-    tracef (fun () -> Printf.sprintf "h%d enq_slow: committing claimed cell %d" h.hid id);
   if id < cell_id then
     failwith
       (Printf.sprintf "enq_slow: claimed cell %d below request id %d (stale claim)" id cell_id);
@@ -1009,8 +945,6 @@ let help_enq q h (s : 'a segment) i =
   let cv = s.values.(j) in
   let ce = s.enqs.(j) in
   let poisoned = A.compare_and_set cv bottom_w top_w in
-  if tracing () && poisoned then
-    tracef (fun () -> Printf.sprintf "h%d help_enq: poison cell %d" h.hid i);
   let w0 = if poisoned then top_w else A.get cv in
   if is_value w0 then w0 (* L.91: the cell already holds a value *)
   else begin
@@ -1025,13 +959,7 @@ let help_enq q h (s : 'a segment) i =
       if
         Packed.pending st
         && Packed.id st <= i
-        && not
-             (let won = A.compare_and_set ce Enq_bottom (Enq_req r) in
-              if tracing () && won then
-                tracef (fun () ->
-                    Printf.sprintf "h%d help_enq: reserved cell %d for peer h%d (req id %d)"
-                      h.hid i p.hid (Packed.id st));
-              won)
+        && not (A.compare_and_set ce Enq_bottom (Enq_req r))
       then h.enq_help_id <- Packed.id st
       else h.enq_peer <- next_live_handle p;
       (* L.109-111: close the cell to enqueue helpers if unused *)
@@ -1071,9 +999,6 @@ let help_enq q h (s : 'a segment) i =
         let claimed_by_us = try_to_claim_req r.enq_state ~id:(Packed.id st) ~cell_id:i in
         if P.enabled && claimed_by_us && r != A.get h.enq_req then
           h.stats.help_enqueues <- h.stats.help_enqueues + 1;
-        if tracing () && claimed_by_us then
-          tracef (fun () ->
-              Printf.sprintf "h%d help_enq: claimed req (id %d) for cell %d" h.hid (Packed.id st) i);
         let claimed_for_cell =
           claimed_by_us
           || Packed.equal (A.get r.enq_state) (Packed.make ~pending:false ~id:i)
@@ -1081,8 +1006,6 @@ let help_enq q h (s : 'a segment) i =
         in
         if claimed_for_cell then begin
           assert (v != bottom_w) (* a claimed request had its value published *);
-          if tracing () then
-            tracef (fun () -> Printf.sprintf "h%d help_enq: commit value at cell %d" h.hid i);
           enq_commit q cv v i
         end;
         value_or_top cv (* L.127 *)
@@ -1097,10 +1020,9 @@ let help_deq q h helpee =
   (* the record is bound once: if the helpee republishes while we
      work, every CAS below targets the old (already closed) record
      and fails — a republication can never be confused with an
-     announcement, which is the ABA the reused-record representation
-     allowed (a fresh request's ticket could numerically equal a
-     stale helper's announced candidate under the batch entry
-     points; see the type's comment). *)
+     announcement, which is the ABA a reused record would allow when
+     a fresh request's ticket numerically equals a stale helper's
+     announced candidate (see [enq_request]'s comment). *)
   let r = A.get helpee.deq_req in
   let s0 = A.get r.deq_state in
   let id = r.deq_id in
@@ -1139,14 +1061,10 @@ let help_deq q h helpee =
       done;
       if !cand <> 0 then begin
         (* L.181-185: try to announce our candidate *)
-        let announced =
-          A.compare_and_set r.deq_state
-            (Packed.make ~pending:true ~id:!prior)
-            (Packed.make ~pending:true ~id:!cand)
-        in
-        if tracing () && announced then
-          tracef (fun () ->
-              Printf.sprintf "h%d help_deq(h%d): announce cell %d" h.hid helpee.hid !cand);
+        ignore
+          (A.compare_and_set r.deq_state
+             (Packed.make ~pending:true ~id:!prior)
+             (Packed.make ~pending:true ~id:!cand));
         s := A.get r.deq_state
       end;
       (* L.187-188: someone completed the request.  (The paper also
@@ -1169,13 +1087,8 @@ let help_deq q h helpee =
           (* about to close the helpee's request: a stalled/dying
              helper must not block other helpers from closing it *)
           if I.enabled then I.hit Inject.Help_deq_pre_close;
-          let closed =
-            A.compare_and_set r.deq_state !s (Packed.make ~pending:false ~id:(Packed.id !s))
-          in
-          if tracing () && closed then
-            tracef (fun () ->
-                Printf.sprintf "h%d help_deq(h%d): closed at cell %d" h.hid helpee.hid
-                  (Packed.id !s));
+          ignore
+            (A.compare_and_set r.deq_state !s (Packed.make ~pending:false ~id:(Packed.id !s)));
           finished := true
         end
         else begin
@@ -1192,7 +1105,6 @@ let help_deq q h helpee =
 
 (* L.149-157: returns the value word or [empty_w]. *)
 let deq_slow q h cell_id =
-  if tracing () then tracef (fun () -> Printf.sprintf "h%d deq_slow: publish id=%d" h.hid cell_id);
   (* fresh single-use request; see [deq_request]'s comment *)
   let r = { deq_id = cell_id; deq_state = A.make (Packed.make ~pending:true ~id:cell_id) } in
   A.set h.deq_req r;
@@ -1243,7 +1155,6 @@ let rec deq_attempt q h p =
   A.set h.head s;
   let w = help_enq q h s i in
   if w == empty_w then begin
-    if tracing () then tracef (fun () -> Printf.sprintf "h%d deq_fast: cell %d EMPTY" h.hid i);
     h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
     h.stats.empty_dequeues <- h.stats.empty_dequeues + 1;
     empty_w
@@ -1251,13 +1162,10 @@ let rec deq_attempt q h p =
   else if
     w != top_w && A.compare_and_set s.deqs.(i land q.seg_mask) Deq_bottom Deq_top
   then begin
-    if tracing () then
-      tracef (fun () -> Printf.sprintf "h%d deq_fast: took value at cell %d" h.hid i);
     h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
     w
   end
   else begin
-    if tracing () then tracef (fun () -> Printf.sprintf "h%d deq_fast: failed at cell %d" h.hid i);
     if P.enabled then h.stats.deq_cas_failures <- h.stats.deq_cas_failures + 1;
     if p > 0 then deq_attempt q h (p - 1)
     else begin
@@ -1296,9 +1204,9 @@ let dequeue_with_hzdp q h =
    allocation budget in [obtain_segment]; the [max_garbage + 2]
    segments the line holds back absorb the reclamation slack (garbage
    below [oldest] waiting for a cleanup) and the overshoot. *)
-let has_admission q k =
+let has_admission q =
   q.segment_cap = max_int
-  || A.get q.tail_index - A.get q.head_index + k <= q.enq_capacity
+  || A.get q.tail_index - A.get q.head_index + 1 <= q.enq_capacity
 
 (* The blocking enqueue's backpressure point.  It matters that the
    wait happens *here*, before [protect_pointer] and the FAA, and not
@@ -1315,10 +1223,10 @@ let has_admission q k =
 
    Progress here needs consumers: the wait clears when dequeues move
    [head_index] — that is the backpressure contract, not a fault. *)
-let wait_admission q k =
-  if not (has_admission q k) then begin
+let wait_admission q =
+  if not (has_admission q) then begin
     ignore (A.fetch_and_add q.cap_hits 1);
-    while not (has_admission q k) do
+    while not (has_admission q) do
       (* same fault window as the in-protocol acquire wait: nothing
          held, so a death or park here strands nothing *)
       if I.enabled then I.hit Inject.Seg_pool_acquire;
@@ -1335,14 +1243,24 @@ let enqueue_unchecked (q : 'a t) (h : 'a handle) (v : 'a) =
   A.set h.hzdp q.null_segment
 
 let enqueue (q : 'a t) (h : 'a handle) (v : 'a) =
-  if q.segment_cap <> max_int then wait_admission q 1;
+  if q.segment_cap <> max_int then wait_admission q;
   enqueue_unchecked q h v
+
+(* Through the unchecked entry point, so a failed re-check by a racing
+   producer cannot turn an admitted [try_enqueue] into a blocking
+   one. *)
+let try_enqueue (q : 'a t) (h : 'a handle) (v : 'a) =
+  has_admission q
+  && begin
+    enqueue_unchecked q h v;
+    true
+  end
 
 (* The word-returning dequeue shared by [dequeue] (option) and
    [dequeue_or] (default).  Only the [option] wrapper allocates — the
    unavoidable [Some] box of that API; [dequeue_or] returns the bare
-   value and is the zero-allocation dequeue ([Wfqueue_int], and the
-   alloc probe's subject). *)
+   value and is the zero-allocation dequeue (the alloc probe's
+   subject). *)
 let dequeue_raw (q : 'a t) (h : 'a handle) =
   ignore (protect_pointer h h.head);
   let w = dequeue_with_hzdp q h in
@@ -1357,222 +1275,6 @@ let dequeue (q : 'a t) (h : 'a handle) : 'a option =
 let dequeue_or (q : 'a t) (h : 'a handle) (default : 'a) : 'a =
   let w = dequeue_raw q h in
   if w == empty_w then default else Obj.obj w
-
-(* ------------------------------------------------------------------ *)
-(* Batch operations: one FAA reserves k consecutive cells             *)
-
-(* The batch paths live in their own functions so the single-operation
-   hot path above is byte-identical with or without them (the bench
-   gate's compile-out check).  Safety piggybacks on the single-op
-   protocol: a reserved cell that cannot complete on its fast attempt
-   falls back to the per-cell slow path, so helping and wait-freedom
-   hold cell by cell exactly as for k = 1.  The hazard pointer
-   published before the FAA covers every reserved cell: cell ids only
-   grow past the protected segment, and cleanup never reclaims at or
-   beyond a live hazard pointer. *)
-
-let enq_batch_unchecked (q : 'a t) (h : 'a handle) (vs : 'a array) =
-  let k = Array.length vs in
-  if k > 0 then begin
-    ignore (protect_pointer h h.tail);
-    let first = A.fetch_and_add q.tail_index k in
-    (* k tail tickets are consumed and none of the values deposited:
-       the widest abandoned window the algorithm can create.  Dying
-       here abandons all k cells to the dequeuers' help_enq, which
-       poisons them one by one. *)
-    if I.enabled then I.hit Inject.Enq_batch_after_faa;
-    if P.enabled then begin
-      h.stats.enq_batches <- h.stats.enq_batches + 1;
-      h.stats.enq_batch_cells <- h.stats.enq_batch_cells + k
-    end;
-    for j = 0 to k - 1 do
-      let i = first + j in
-      let s = find_cell ~who:"enq_batch" ~advance:true q h (A.get h.tail) i in
-      A.set h.tail s;
-      if A.compare_and_set s.values.(i land q.seg_mask) bottom_w (Obj.repr vs.(j)) then
-        h.stats.fast_enqueues <- h.stats.fast_enqueues + 1
-      else begin
-        (* the cell was poisoned while we worked through the batch:
-           per-cell fallback, with no patience retry — the ticket is
-           already ours and a retry would burn a fresh one *)
-        if P.enabled then begin
-          h.stats.enq_cas_failures <- h.stats.enq_cas_failures + 1;
-          h.stats.enq_batch_fallbacks <- h.stats.enq_batch_fallbacks + 1
-        end;
-        enq_slow q h vs.(j) i;
-        h.stats.slow_enqueues <- h.stats.slow_enqueues + 1
-      end
-    done;
-    A.set h.hzdp q.null_segment
-  end
-
-let enq_batch (q : 'a t) (h : 'a handle) (vs : 'a array) =
-  let k = Array.length vs in
-  if q.segment_cap <> max_int && k > 0 then
-    (* a batch wider than the admission line can never be admitted
-       whole; wait for as much of the line as it can cover and let
-       the allocation budget absorb the rest (callers that need the
-       all-or-nothing contract use [try_enq_batch]) *)
-    wait_admission q (min k q.enq_capacity);
-  enq_batch_unchecked q h vs
-
-let deq_batch (q : 'a t) (h : 'a handle) k : 'a option array =
-  if k <= 0 then [||]
-  else if observed_empty q then begin
-    (* EMPTY before the FAA, as in [deq_attempt]: k EMPTY answers, all
-       linearized at the T read, and no head ticket burnt *)
-    h.stats.fast_dequeues <- h.stats.fast_dequeues + k;
-    h.stats.empty_dequeues <- h.stats.empty_dequeues + k;
-    Array.make k None
-  end
-  else begin
-    ignore (protect_pointer h h.head);
-    let first = A.fetch_and_add q.head_index k in
-    (* k head tickets consumed, no cell helped or claimed yet: dying
-       here can strand up to k values (dequeue-then-crash, k times) *)
-    if I.enabled then I.hit Inject.Deq_batch_after_faa;
-    if P.enabled then begin
-      h.stats.deq_batches <- h.stats.deq_batches + 1;
-      h.stats.deq_batch_cells <- h.stats.deq_batch_cells + k
-    end;
-    let out = Array.make k None in
-    let got = ref false in
-    for j = 0 to k - 1 do
-      let i = first + j in
-      let s = find_cell ~who:"deq_batch" ~advance:true q h (A.get h.head) i in
-      A.set h.head s;
-      let w = help_enq q h s i in
-      if w == empty_w then begin
-        h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
-        h.stats.empty_dequeues <- h.stats.empty_dequeues + 1
-      end
-      else if
-        w != top_w && A.compare_and_set s.deqs.(i land q.seg_mask) Deq_bottom Deq_top
-      then begin
-        h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
-        out.(j) <- Some (Obj.obj w);
-        got := true
-      end
-      else begin
-        if P.enabled then begin
-          h.stats.deq_cas_failures <- h.stats.deq_cas_failures + 1;
-          h.stats.deq_batch_fallbacks <- h.stats.deq_batch_fallbacks + 1
-        end;
-        let w = deq_slow q h i in
-        h.stats.slow_dequeues <- h.stats.slow_dequeues + 1;
-        if w == empty_w then h.stats.empty_dequeues <- h.stats.empty_dequeues + 1
-        else begin
-          out.(j) <- Some (Obj.obj w);
-          got := true
-        end
-      end
-    done;
-    if !got then begin
-      help_deq q h h.deq_peer;
-      h.deq_peer <- next_live_handle h.deq_peer
-    end;
-    A.set h.hzdp q.null_segment;
-    if q.reclamation then cleanup q h;
-    out
-  end
-
-(* Cell loop of [deq_batch_into]: a top-level recursion (a local
-   [let rec] would box a closure per call, against the PR 6 zero-
-   allocation discipline).  Values are compacted to the front of
-   [out]; returns how many were written. *)
-let rec deq_batch_into_loop q h (out : 'a array) k first j n =
-  if j = k then n
-  else begin
-    let i = first + j in
-    let s = find_cell ~who:"deq_batch_into" ~advance:true q h (A.get h.head) i in
-    A.set h.head s;
-    let w = help_enq q h s i in
-    if w == empty_w then begin
-      h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
-      h.stats.empty_dequeues <- h.stats.empty_dequeues + 1;
-      deq_batch_into_loop q h out k first (j + 1) n
-    end
-    else if w != top_w && A.compare_and_set s.deqs.(i land q.seg_mask) Deq_bottom Deq_top
-    then begin
-      h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
-      out.(n) <- Obj.obj w;
-      deq_batch_into_loop q h out k first (j + 1) (n + 1)
-    end
-    else begin
-      if P.enabled then begin
-        h.stats.deq_cas_failures <- h.stats.deq_cas_failures + 1;
-        h.stats.deq_batch_fallbacks <- h.stats.deq_batch_fallbacks + 1
-      end;
-      let w = deq_slow q h i in
-      h.stats.slow_dequeues <- h.stats.slow_dequeues + 1;
-      if w == empty_w then begin
-        h.stats.empty_dequeues <- h.stats.empty_dequeues + 1;
-        deq_batch_into_loop q h out k first (j + 1) n
-      end
-      else begin
-        out.(n) <- Obj.obj w;
-        deq_batch_into_loop q h out k first (j + 1) (n + 1)
-      end
-    end
-  end
-
-(* The allocation-free batch dequeue: same reservation protocol as
-   [deq_batch], but values land bare in the caller's array (no [Some]
-   per cell, no result-array allocation) with the remainder filled
-   with [default].  [Array.length out] is the ticket batch size. *)
-let deq_batch_into (q : 'a t) (h : 'a handle) (out : 'a array) ~(default : 'a) : int =
-  let k = Array.length out in
-  if k = 0 then 0
-  else if observed_empty q then begin
-    h.stats.fast_dequeues <- h.stats.fast_dequeues + k;
-    h.stats.empty_dequeues <- h.stats.empty_dequeues + k;
-    Array.fill out 0 k default;
-    0
-  end
-  else begin
-    ignore (protect_pointer h h.head);
-    let first = A.fetch_and_add q.head_index k in
-    if I.enabled then I.hit Inject.Deq_batch_after_faa;
-    if P.enabled then begin
-      h.stats.deq_batches <- h.stats.deq_batches + 1;
-      h.stats.deq_batch_cells <- h.stats.deq_batch_cells + k
-    end;
-    let n = deq_batch_into_loop q h out k first 0 0 in
-    if n > 0 then begin
-      help_deq q h h.deq_peer;
-      h.deq_peer <- next_live_handle h.deq_peer
-    end;
-    Array.fill out n (k - n) default;
-    A.set h.hzdp q.null_segment;
-    if q.reclamation then cleanup q h;
-    n
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Bounded-mode admission wrappers (DESIGN.md §11)                    *)
-
-(* [has_admission]/[wait_admission] live above the public operations;
-   the try-wrappers go through the *unchecked* entry points so a
-   failed re-check by a racing producer cannot turn an admitted
-   [try_enqueue] into a blocking one. *)
-
-let try_enqueue (q : 'a t) (h : 'a handle) (v : 'a) =
-  has_admission q 1
-  && begin
-    enqueue_unchecked q h v;
-    true
-  end
-
-let enqueue_exn q h v = if not (try_enqueue q h v) then raise Would_block
-
-let try_enq_batch (q : 'a t) (h : 'a handle) (vs : 'a array) =
-  has_admission q (Array.length vs)
-  && begin
-    enq_batch_unchecked q h vs;
-    true
-  end
-
-let enq_batch_exn q h vs = if not (try_enq_batch q h vs) then raise Would_block
 
 (* ------------------------------------------------------------------ *)
 (* Implicit per-domain handles                                        *)
@@ -1752,52 +1454,6 @@ module Internal = struct
 
   let cleanup = cleanup
 
-  let cell_debug c h =
-    let value =
-      let w = A.get c.cseg.values.(c.coff) in
-      if w == bottom_w then "bot" else if w == top_w then "TOP" else "VAL"
-    in
-    let enq =
-      match A.get c.cseg.enqs.(c.coff) with
-      | Enq_bottom -> "bot"
-      | Enq_top -> "TOP"
-      | Enq_req r -> if r == A.get h.enq_req then "REQ(this)" else "REQ(other)"
-    in
-    let deq =
-      match A.get c.cseg.deqs.(c.coff) with
-      | Deq_bottom -> "bot"
-      | Deq_top -> "TOP"
-      | Deq_req r -> if r == A.get h.deq_req then "DREQ(this)" else "DREQ(other)"
-    in
-    Printf.sprintf "val=%s enq=%s deq=%s" value enq deq
-
-  let debug_dump q ppf =
-    let seg_id_of s = if s == q.null_segment then -999 else s.seg_id in
-    Format.fprintf ppf "T=%d H=%d oldest=%d q.q=%d pool=%d alloc=%d recycled=%d reclaimed=%d@."
-      (A.get q.tail_index) (A.get q.head_index) (A.get q.oldest)
-      (A.get q.q).seg_id (A.get q.pool_size) (A.get q.allocated)
-      (A.get q.recycled) (A.get q.reclaimed);
-    match A.get q.ring with
-    | None -> Format.fprintf ppf "(no handles)@."
-    | Some first ->
-      let rec go h idx =
-        let dr = A.get h.deq_req in
-        let es = A.get (A.get h.enq_req).enq_state in
-        let ds = A.get dr.deq_state in
-        Format.fprintf ppf
-          "h%d: head=%d tail=%d hzdp=%d enq_req=%a deq_req=(id=%d,%a) help_id=%d %s@." idx
-          (A.get h.head).seg_id (A.get h.tail).seg_id
-          (seg_id_of (A.get h.hzdp))
-          Packed.pp es dr.deq_id
-          Packed.pp ds h.enq_help_id
-          (Format.asprintf "%a" Op_stats.pp h.stats);
-        let n = next_handle h in
-        if n != first then go n (idx + 1)
-      in
-      go first 0
-
-  let set_trace = set_trace
-
   (* Whitebox access to the segment pool, for the size-accounting
      invariant tests: the counter must never exceed [pool_limit] and
      must equal the list length at quiescence. *)
@@ -1809,11 +1465,6 @@ module Internal = struct
 
   let pool_push_fresh q = pool_push q (new_segment q.seg_shift 0)
   let pool_take q = match pool_pop q with Some _ -> true | None -> false
-
-  (* Bounded-mode accounting, for the cap-invariant tests: remaining
-     fresh-allocation budget, and the hard identity the tests assert —
-     segments ever created ([allocated]) never exceeds the cap. *)
-  let seg_budget q = A.get q.seg_budget
 
   let set_hazard q h which =
     match which with

@@ -13,5 +13,3 @@
    doubles as a sanity check that an idle injector perturbs nothing. *)
 
 include Wfqueue_algo.Make (Atomic_prims.Real) (Obs.Probe.Enabled) (Inject.Enabled)
-
-exception Would_block = Wfqueue_algo.Would_block

@@ -6,5 +6,3 @@
    buys — the "faa-emulation" ablation in the benchmarks. *)
 
 include Wfqueue_algo.Make (Atomic_prims.Emulated_faa) (Obs.Probe.Disabled) (Inject.Disabled)
-
-exception Would_block = Wfqueue_algo.Would_block

@@ -7,9 +7,8 @@
    test suite checks on the production build.
 
    Used by the telemetry harness ([Harness.Telemetry] and the
-   [repro stats] subcommand); the disabled build ([Wfqueue]) pays none
-   of the instrumentation's cost. *)
+   [repro stats] subcommand); the disabled build ([Wfqueue]) records
+   none of it, though each gate still costs it a load and a branch
+   (see [Wfqueue_algo]'s header). *)
 
 include Wfqueue_algo.Make (Atomic_prims.Real) (Obs.Probe.Enabled) (Inject.Disabled)
-
-exception Would_block = Wfqueue_algo.Would_block

@@ -1,8 +1,8 @@
 (* The allocation discipline, pinned: the disabled-probe fast path
    allocates zero minor words per enqueue/dequeue pair, the option API
    pays exactly its [Some] box, the Alloc_probe accumulator and gated
-   meter account correctly, the int facade is behaviorally identical
-   to the generic queue, dequeue_or linearizes under simsched
+   meter account correctly, the int queue's [dequeue_or] is
+   behaviorally identical to the option API, dequeue_or linearizes under simsched
    schedules, and every [Alloc_bench] default row stays within its
    exact bound.
 
@@ -18,7 +18,6 @@
    words on every op) clears the tolerance by 20x. *)
 
 module Q = Wfq.Wfqueue
-module Qi = Wfq.Wfqueue_int
 module AP = Obs.Alloc_probe
 
 let check = Alcotest.check
@@ -118,12 +117,12 @@ let test_generic_dequeue_or_zero () =
     true (zero_frac >= 0.99)
 
 let test_int_facade_zero () =
-  let q = Qi.create ~patience:10 () in
-  let h = Qi.register q in
+  let q : int Q.t = Q.create ~patience:10 () in
+  let h = Q.register q in
   let wpo, zero_frac =
     measure_pairs ~warmup:60_000 ~pairs:20_000
-      ~enq:(fun i -> Qi.enqueue q h i)
-      ~deq:(fun () -> ignore (Qi.dequeue_or q h min_int))
+      ~enq:(fun i -> Q.enqueue q h i)
+      ~deq:(fun () -> ignore (Q.dequeue_or q h min_int))
   in
   Alcotest.(check bool)
     (Printf.sprintf "words/op %.4f <= 0.1" wpo)
@@ -195,13 +194,13 @@ let test_alloc_bounded_and_scq_zero () =
     [ Harness.Queues.wf_bounded (); Harness.Queues.scq () ]
 
 let test_alloc_bench_default_rows () =
-  (* the seven pinned rows: every dequeue_or row holds the hot-path
+  (* the six pinned rows: every dequeue_or row holds the hot-path
      zero, and the option API pays exactly its [Some] box (2 words on
      each dequeue, 1.0 per op).  [Gc.minor_words] is an exact count,
      so the bounds can be tight: one extra 2-word box per operation
      fails either. *)
   let rows = Harness.Alloc_bench.default_rows ~warmup_pairs:20_000 ~pairs:5_000 () in
-  check Alcotest.int "row count" 7 (List.length rows);
+  check Alcotest.int "row count" 6 (List.length rows);
   List.iter
     (fun (r : Harness.Alloc_bench.row) ->
       let w = r.words_per_op in
@@ -217,7 +216,7 @@ let test_alloc_bench_default_rows () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* dequeue_or semantics and int-vs-generic equivalence                 *)
+(* dequeue_or semantics and its equivalence with the option API        *)
 
 let test_dequeue_or_semantics () =
   let q = Q.create () in
@@ -233,24 +232,24 @@ let test_dequeue_or_semantics () =
   check (Alcotest.option Alcotest.int) "and it is gone" None (Q.dequeue q h)
 
 let test_int_vs_generic_equivalence () =
-  (* the same seeded op sequence against the generic option API and
-     the int facade's dequeue_or must agree op for op *)
+  (* the same seeded op sequence against the option API and an
+     [int Wfqueue.t] polled with dequeue_or must agree op for op *)
   let rng = Primitives.Splitmix64.create 0xA110CL in
   let qg = Q.create ~patience:10 ~segment_shift:4 ~max_garbage:4 () in
   let hg = Q.register qg in
-  let qi = Qi.create ~patience:10 ~segment_shift:4 ~max_garbage:4 () in
-  let hi = Qi.register qi in
+  let qi : int Q.t = Q.create ~patience:10 ~segment_shift:4 ~max_garbage:4 () in
+  let hi = Q.register qi in
   for i = 0 to 9_999 do
     if Primitives.Splitmix64.bool rng then begin
       Q.enqueue qg hg i;
-      Qi.enqueue qi hi i
+      Q.enqueue qi hi i
     end
     else
       let g = match Q.dequeue qg hg with Some v -> v | None -> min_int in
-      let v = Qi.dequeue_or qi hi min_int in
+      let v = Q.dequeue_or qi hi min_int in
       check Alcotest.int (Printf.sprintf "op %d" i) g v
   done;
-  check Alcotest.int "same length" (Q.approx_length qg) (Qi.approx_length qi)
+  check Alcotest.int "same length" (Q.approx_length qg) (Q.approx_length qi)
 
 (* ------------------------------------------------------------------ *)
 (* dequeue_or under simsched schedules                                 *)

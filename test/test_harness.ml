@@ -90,8 +90,6 @@ let test_registry_find () =
   check Alcotest.bool "find nothing" true (Harness.Queues.find "bogus" = None)
 
 let test_each_factory_is_fifo () =
-  (* 100 values pass wf-batch-8's buffering facade as full batches and
-     a partial one, which the first dequeue flushes *)
   let n = 100 in
   List.iter
     (fun (f : Harness.Queues.factory) ->
@@ -450,7 +448,7 @@ let test_storm_audit_rule () =
   let committed = [| 3; 3 |] in
   let outcomes = [| S.Killed Inject.Enq_fast_after_faa; S.Completed |] in
   let violations values =
-    List.length (S.audit ~ops:4 ~batch:1 ~committed ~outcomes values).S.violations
+    List.length (S.audit ~ops:4 ~committed ~outcomes values).S.violations
   in
   let all = [ 0; 1; 2; 4; 5; 6 ] in
   let kill_at p =

@@ -12,12 +12,12 @@
    Every storm is judged by the one conservation audit of
    [Harness.Storm] (the rule [repro]'s storms apply): no value twice,
    none outside its owner's committed prefix except a killed owner's
-   in-flight batch, and at most (dequeue-side kills x batch) committed
-   values missing.  So a parked storm conserves values exactly, a
-   helped dead enqueuer loses nothing, and each crashed dequeuer
-   strands at most its batch.  Survivors always complete, and the
-   queue stays fully operational afterwards — including cleanup, even
-   when the victim died holding the cleanup token. *)
+   in-flight value, and at most (dequeue-side kills) committed values
+   missing.  So a parked storm conserves values exactly, a helped dead
+   enqueuer loses nothing, and each crashed dequeuer strands at most
+   one value.  Survivors always complete, and the queue stays fully
+   operational afterwards — including cleanup, even when the victim
+   died holding the cleanup token. *)
 
 module Q = Simsched.Sim.Queue
 module Sim = Simsched.Sim
@@ -44,8 +44,8 @@ let storm ~victim plan f =
     ~victim:(fun () -> victim (Sim.current_fiber ()))
     plan f
 
-let audit ~seed ?(batch = 1) ~ops ~committed ~outcomes values =
-  match (Storm.audit ~ops ~batch ~committed ~outcomes values).Storm.violations with
+let audit ~seed ~ops ~committed ~outcomes values =
+  match (Storm.audit ~ops ~committed ~outcomes values).Storm.violations with
   | [] -> ()
   | vs -> Alcotest.failf "seed %d: %s" seed (String.concat "; " vs)
 
@@ -149,44 +149,6 @@ let test_park_storm cls () =
     Alcotest.failf "no %s park ever fired across the sweep: dead injection points?"
       (Inject.class_name cls)
 
-(* [rounds] of one [batch]-value enq_batch and one deq_batch on fiber
-   [i]; [committed] advances by whole batches. *)
-let batch_churn q h ~batch ~rounds (committed, outcomes) got i () =
-  try
-    for r = 0 to rounds - 1 do
-      Q.enq_batch q h.(i) (Array.init batch (fun j -> (i * batch * rounds) + (r * batch) + j));
-      committed.(i) <- (r + 1) * batch;
-      Array.iter (function Some v -> got := v :: !got | None -> ()) (Q.deq_batch q h.(i) batch)
-    done
-  with Inject.Killed p ->
-    outcomes.(i) <- Storm.Killed p;
-    Q.retire q h.(i)
-
-(* The generic storm churns single ops, so the batch windows need
-   their own sweep: 4 fibers exchanging 3-value batches while two of
-   them park right after their batch FAA — the window where k cells
-   are reserved but none written (enqueue) or claimed (dequeue).
-   Parking there stalls nobody and conserves values exactly: the
-   per-cell fallback gives every survivor touching a reserved cell a
-   wait-free way past it. *)
-let test_batch_park_storm () =
-  let points = Inject.points_of_class Inject.Batch in
-  let fired = ref 0 in
-  for seed = 1 to 150 do
-    let plan =
-      Inject.Plan.make ~park:6 ~arm_window:1 ~points ~seed:(Int64.of_int (seed * 7919)) ()
-    in
-    let q = aggressive_queue () in
-    let h = Array.init 4 (fun _ -> Q.register q) in
-    let l = ledger 4 and got = ref [] in
-    storm ~victim:(fun f -> f <= 1) plan (fun () ->
-        ignore (run_ok ~seed (Array.init 4 (batch_churn q h ~batch:3 ~rounds:2 l got))));
-    fired := !fired + parks points;
-    audit ~seed ~batch:3 ~ops:6 ~committed:(fst l) ~outcomes:(snd l) (!got @ drain q h.(0))
-  done;
-  if !fired = 0 then
-    Alcotest.fail "no batch park ever fired across the sweep: dead injection points?"
-
 (* ------------------------------------------------------------------ *)
 (* Die storms: crashed threads strand at most one value, never
    duplicate one, and survivors always finish                        *)
@@ -209,35 +171,6 @@ let test_kill_storm () =
   done;
   if !total_kills = 0 then
     Alcotest.fail "no kill ever fired across 400 seeds: lethal plans are dead code?"
-
-(* Dying right after a batch FAA is the widest crash window the queue
-   has: k tickets are reserved in one blow and none of the k cells is
-   written/claimed yet.  A dead batch enqueuer abandons k cells that
-   dequeuers must be able to skip; a dead batch dequeuer burns k head
-   tickets whose cells' values are stranded forever.  So the stranding
-   bound scales with the batch — and duplication stays impossible
-   (the per-cell claim CASes are unchanged).  The in-flight batch of a
-   killed enqueuer is never written past the injection point, but a
-   future refactor moving the point after partial writes would make
-   its values legitimately appear, at most once. *)
-let test_batch_kill_storm () =
-  let total_kills = ref 0 in
-  for seed = 1 to 300 do
-    let plan =
-      Inject.Plan.make ~lethal:true ~arm_window:1
-        ~points:[ Inject.Enq_batch_after_faa; Inject.Deq_batch_after_faa ]
-        ~seed:(Int64.of_int (seed * 17)) ()
-    in
-    let q = aggressive_queue () in
-    let h = Array.init 3 (fun _ -> Q.register q) in
-    let l = ledger 3 and got = ref [] in
-    storm ~victim:(fun f -> f = 0) plan (fun () ->
-        ignore (run_ok ~seed (Array.init 3 (batch_churn q h ~batch:3 ~rounds:3 l got))));
-    total_kills := !total_kills + (Inject.total_stats ()).Inject.kills;
-    audit ~seed ~batch:3 ~ops:9 ~committed:(fst l) ~outcomes:(snd l) (!got @ drain q h.(1))
-  done;
-  if !total_kills = 0 then
-    Alcotest.fail "no batch kill ever fired across 300 seeds: lethal batch plans are dead code?"
 
 (* ------------------------------------------------------------------ *)
 (* Bounded-mode freelist storms (PR 9): the two [Pool]-class windows.
@@ -398,9 +331,9 @@ let test_pool_kill_storm () =
   if !release_kills = 0 then
     Alcotest.fail "no kill at Seg_pool_release across 400 seeds: storm is dead code?"
 
-(* Bounded admission under enqueue-side kills.  [try_enqueue] and
-   [enqueue_exn] check the admission line before any ticket is taken,
-   so a rejection has no protocol footprint: the producer retries the
+(* Bounded admission under enqueue-side kills.  [try_enqueue] checks
+   the admission line before any ticket is taken, so a rejection has
+   no protocol footprint: the producer retries the
    same value, and a rejection that had left it in the queue would
    surface as a duplicate.  A producer killed at an enqueue point
    between rejections strands nothing it committed, and the segment
@@ -420,28 +353,17 @@ let test_admission_kill_storm () =
     let h = Array.init 4 (fun _ -> Q.register q) in
     let committed, outcomes = ledger 4 and got = ref [] in
     let producers_done = ref 0 in
-    (* even attempts poll [try_enqueue], odd ones catch [enqueue_exn]'s
-       [Would_block] *)
-    let admit i attempt v =
-      if attempt land 1 = 0 then Q.try_enqueue q h.(i) v
-      else
-        match Q.enqueue_exn q h.(i) v with
-        | () -> true
-        | exception Wfq.Wfqueue_algo.Would_block -> false
-    in
     let producer i () =
       (try
-         let attempt = ref 0 in
          while committed.(i) < ops do
-           if admit i !attempt ((i * ops) + committed.(i)) then begin
+           if Q.try_enqueue q h.(i) ((i * ops) + committed.(i)) then begin
              committed.(i) <- committed.(i) + 1;
              check_cap ~seed q cap
            end
            else begin
              incr rejections;
              Sim.yield ()
-           end;
-           incr attempt
+           end
          done
        with Inject.Killed p ->
          outcomes.(i) <- Storm.Killed p;
@@ -615,8 +537,11 @@ let test_real_storm_smoke () =
       let subject =
         Storm.subject (fun () ->
             let h = W.register q in
-            Storm.single ~enqueue:(W.enqueue q h) ~dequeue_or:(W.dequeue_or q h)
-              ~retire:(fun () -> W.retire q h))
+            {
+              Storm.enqueue = W.enqueue q h;
+              dequeue_or = W.dequeue_or q h;
+              retire = (fun () -> W.retire q h);
+            })
       in
       let r =
         Storm.run subject Storm.Pairs ~domains:4 ~ops:2_000
@@ -644,14 +569,12 @@ let () =
               `Quick (test_park_storm cls))
           [ Inject.Enqueue; Inject.Dequeue; Inject.Helping; Inject.Cleanup; Inject.Hazard ]
         @ [
-            Alcotest.test_case "2-of-4 parked at batch points" `Quick test_batch_park_storm;
             Alcotest.test_case "2-of-4 parked in bounded freelist windows" `Quick
               test_pool_park_storm;
           ] );
       ( "kill-storms",
         [
           Alcotest.test_case "crashes strand <=1 value, never duplicate" `Quick test_kill_storm;
-          Alcotest.test_case "batch crashes strand <= batch values" `Quick test_batch_kill_storm;
           Alcotest.test_case "freelist crashes keep the segment cap" `Quick test_pool_kill_storm;
           Alcotest.test_case "helpers complete a dead enqueuer's request" `Quick
             test_helping_completes_dead_enqueuer;

@@ -722,71 +722,26 @@ let test_determinism () =
 (* (seed 43 usually differs; equality is tolerated to keep the test
    robust, the meaningful assertion is deterministic replay above) *)
 
-(* Batch ops on a single simulated queue, checked as full
-   linearizability: the expansion of each batch into per-value events
-   sharing the interval must admit a legal sequential witness. *)
-let test_batch_linearizable_sweep () =
-  for seed = 1 to 400 do
-    let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 () in
-    let handles = Array.init 2 (fun _ -> Q.register q) in
-    let events = ref [] in
-    let fiber i () =
-      let h = handles.(i) in
-      let rng = Primitives.Splitmix64.create (Int64.of_int ((seed * 77) + i)) in
-      for n = 0 to 1 do
-        let k = 1 + Primitives.Splitmix64.next_int rng 3 in
-        if Primitives.Splitmix64.bool rng then begin
-          let vs = Array.init k (fun j -> (i * 100) + (n * 10) + j) in
-          let inv = Sim.now () in
-          Q.enq_batch q h vs;
-          let res = Sim.now () in
-          Array.iter
-            (fun v ->
-              events :=
-                { H.thread = i; input = Spec.Enq v; output = Spec.Accepted; inv; res }
-                :: !events)
-            vs
-        end
-        else begin
-          let inv = Sim.now () in
-          let out = Q.deq_batch q h k in
-          let res = Sim.now () in
-          Array.iter
-            (fun slot ->
-              let output = match slot with Some v -> Spec.Got v | None -> Spec.Empty in
-              events := { H.thread = i; input = Spec.Deq; output; inv; res } :: !events)
-            out
-        end
-      done
-    in
-    ignore (run_ok ~seed [| fiber 0; fiber 1 |]);
-    let evs = Array.of_list (List.rev !events) in
-    Array.sort (fun a b -> compare a.H.inv b.H.inv) evs;
-    match Wgl.check evs with
-    | Wgl.Linearizable _ -> ()
-    | Wgl.Not_linearizable -> Alcotest.failf "seed %d: batch history not linearizable" seed
-    | Wgl.Too_large -> Alcotest.failf "seed %d: history too large for WGL" seed
-  done
-
 (* Enqueue-side kills vs the missing-value bound, on a bounded queue.
 
-   [try_enq_batch] refuses a batch with {e no} queue footprint (the
+   [try_enqueue] refuses a value with {e no} queue footprint (the
    admission check runs before the tail FAA).  When that same producer
-   is later killed inside the [Enq_batch_after_faa] window — batch
-   tickets drawn, no cell filled yet — only that one in-flight batch
-   may strand.  [Harness.Storm.audit], the rule every storm applies,
-   gives enqueue-side kills {e zero} missing-value allowance: every
-   batch whose enqueue returned must still be fully dequeued, and a
-   rejected-then-killed producer must not be double-counted (the
-   rejection left nothing behind; the kill strands at most [batch]
-   uncommitted values). *)
+   is later killed inside the [Enq_fast_after_faa] window (tail ticket
+   drawn, cell not yet filled; the plan picks any of its first
+   [per_producer] tickets, so a kill can follow rejections), only
+   that one in-flight value may strand.  [Harness.Storm.audit], the
+   rule every storm applies, gives enqueue-side kills {e zero}
+   missing-value allowance: every value whose enqueue returned must
+   still be dequeued, and a rejected-then-killed producer must not be
+   double-counted (the rejection left nothing behind; the kill
+   strands at most the one uncommitted value). *)
 let test_bounded_enq_kill_accounting () =
-  let batch = 3 and per_producer = 12 and cap = 8 in
+  let per_producer = 12 and cap = 8 in
   let total_kills = ref 0 and total_rejections = ref 0 in
   for seed = 1 to 200 do
     let plan =
-      Inject.Plan.make ~lethal:true ~arm_window:1
-        ~points:[ Inject.Enq_batch_after_faa ]
+      Inject.Plan.make ~lethal:true ~arm_window:per_producer
+        ~points:[ Inject.Enq_fast_after_faa ]
         ~seed:(Int64.of_int ((seed * 7919) + 17))
         ()
     in
@@ -801,8 +756,8 @@ let test_bounded_enq_kill_accounting () =
     let produce d () =
       (try
          while committed.(d) < per_producer do
-           let vs = Array.init batch (fun j -> (d * per_producer) + committed.(d) + j) in
-           if Q.try_enq_batch q h.(d) vs then committed.(d) <- committed.(d) + batch
+           if Q.try_enqueue q h.(d) ((d * per_producer) + committed.(d)) then
+             committed.(d) <- committed.(d) + 1
            else begin
              incr total_rejections;
              Sim.yield ()
@@ -816,9 +771,11 @@ let test_bounded_enq_kill_accounting () =
     let consumer () =
       let idle = ref 0 in
       while !producers_done < 2 || !idle < 3 do
-        let before = List.length !got in
-        Array.iter (function Some v -> got := v :: !got | None -> ()) (Q.deq_batch q h.(2) batch);
-        if List.length !got = before then incr idle else idle := 0
+        match Q.dequeue q h.(2) with
+        | Some v ->
+          got := v :: !got;
+          idle := 0
+        | None -> incr idle
       done
     in
     Harness.Storm.with_controller
@@ -826,7 +783,7 @@ let test_bounded_enq_kill_accounting () =
       ~victim:(fun () -> Sim.current_fiber () = 0)
       plan
       (fun () -> ignore (run_ok ~seed [| produce 0; produce 1; consumer |]));
-    total_kills := !total_kills + (Inject.stats Inject.Enq_batch_after_faa).Inject.kills;
+    total_kills := !total_kills + (Inject.stats Inject.Enq_fast_after_faa).Inject.kills;
     let rec drain () =
       match Q.dequeue q h.(2) with
       | Some v ->
@@ -835,9 +792,7 @@ let test_bounded_enq_kill_accounting () =
       | None -> ()
     in
     drain ();
-    (match
-       (Harness.Storm.audit ~ops:per_producer ~batch ~committed ~outcomes !got).violations
-     with
+    (match (Harness.Storm.audit ~ops:per_producer ~committed ~outcomes !got).violations with
     | [] -> ()
     | vs -> Alcotest.failf "seed %d: %s" seed (String.concat "; " vs));
     if Q.allocated_segments q > cap then
@@ -845,7 +800,7 @@ let test_bounded_enq_kill_accounting () =
         cap
   done;
   if !total_kills = 0 then
-    Alcotest.fail "no Enq_batch_after_faa kill fired across 200 seeds: storm is dead code?";
+    Alcotest.fail "no Enq_fast_after_faa kill fired across 200 seeds: storm is dead code?";
   if !total_rejections = 0 then
     Alcotest.fail "no bounded rejection fired across 200 seeds: capacity pressure is dead code?"
 
@@ -880,7 +835,6 @@ let () =
         ] );
       ( "simsched",
         [
-          Alcotest.test_case "batch linearizability" `Slow test_batch_linearizable_sweep;
           Alcotest.test_case "bounded enq-kill accounting" `Slow test_bounded_enq_kill_accounting;
         ] );
       ( "machinery",

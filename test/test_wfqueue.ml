@@ -1,5 +1,5 @@
 (* Black-box tests of the wait-free queue's public API (sequential
-   semantics, configuration, statistics, batch operations).  Concurrency is covered by
+   semantics, configuration, statistics).  Concurrency is covered by
    test_wfqueue_concurrent.ml, the slow paths by
    test_wfqueue_slowpath.ml, linearizability by
    test_linearizability.ml, and reclamation by test_reclamation.ml. *)
@@ -93,13 +93,10 @@ let test_approx_length () =
 let test_empty_polls_burn_nothing () =
   let q = W.create () in
   let h = W.register q in
-  let out = Array.make 4 0 in
   let values = ref 0 in
   for _ = 1 to 10_000 do
     if W.dequeue q h <> None then incr values;
-    if W.dequeue_or q h (-1) <> -1 then incr values;
-    if not (Array.for_all Option.is_none (W.deq_batch q h 4)) then incr values;
-    values := !values + W.deq_batch_into q h out ~default:0
+    if W.dequeue_or q h (-1) <> -1 then incr values
   done;
   check Alcotest.int "every poll EMPTY" 0 !values;
   W.enqueue q h 7;
@@ -193,99 +190,6 @@ let prop_sequential_model =
           | `Deq -> W.dequeue q h = Queue.take_opt model)
         program)
 
-(* ------------------------------------------------------------------ *)
-(* Batch operations: one FAA reserves k consecutive cells              *)
-
-let test_batch_roundtrip () =
-  let q = W.create () in
-  let h = W.register q in
-  W.enq_batch q h [| 1; 2; 3; 4; 5 |];
-  check Alcotest.int "length after batch" 5 (W.approx_length q);
-  let out = W.deq_batch q h 5 in
-  check Alcotest.(array (option int)) "FIFO cell order"
-    [| Some 1; Some 2; Some 3; Some 4; Some 5 |]
-    out;
-  check Alcotest.(option int) "drained" None (W.dequeue q h)
-
-let test_batch_partial () =
-  (* a k-batch against a shorter queue returns the values in order
-     and EMPTY holes for the rest *)
-  let q = W.create () in
-  let h = W.register q in
-  W.enq_batch q h [| 10; 20 |];
-  let out = W.deq_batch q h 4 in
-  check Alcotest.(array (option int)) "partial batch" [| Some 10; Some 20; None; None |] out
-
-let test_batch_interleaves_with_singles () =
-  let q = W.create () in
-  let h = W.register q in
-  W.enqueue q h 1;
-  W.enq_batch q h [| 2; 3 |];
-  W.enqueue q h 4;
-  check Alcotest.(option int) "single sees batch order" (Some 1) (W.dequeue q h);
-  check Alcotest.(array (option int)) "batch sees single order" [| Some 2; Some 3 |]
-    (W.deq_batch q h 2);
-  check Alcotest.(option int) "tail value" (Some 4) (W.dequeue q h)
-
-let test_batch_empty_noops () =
-  (* zero-size batches must not consume FAA tickets *)
-  let q = W.create () in
-  let h = W.register q in
-  let t0 = W.Internal.tail_index q and h0 = W.Internal.head_index q in
-  W.enq_batch q h [||];
-  check Alcotest.(array (option int)) "deq_batch 0" [||] (W.deq_batch q h 0);
-  check Alcotest.(array (option int)) "deq_batch negative" [||] (W.deq_batch q h (-3));
-  check Alcotest.int "tail ticket untouched" t0 (W.Internal.tail_index q);
-  check Alcotest.int "head ticket untouched" h0 (W.Internal.head_index q)
-
-let test_batch_one_faa_per_batch () =
-  (* the amortization claim itself: k cells move T by k with one
-     reservation, not k *)
-  let q = W.create () in
-  let h = W.register q in
-  let t0 = W.Internal.tail_index q in
-  W.enq_batch q h (Array.init 64 Fun.id);
-  check Alcotest.int "tail moved by exactly k" (t0 + 64) (W.Internal.tail_index q);
-  let h0 = W.Internal.head_index q in
-  let out = W.deq_batch q h 64 in
-  check Alcotest.int "head moved by exactly k" (h0 + 64) (W.Internal.head_index q);
-  check Alcotest.int "all values out" 64
-    (Array.fold_left (fun acc -> function Some _ -> acc + 1 | None -> acc) 0 out)
-
-let test_batch_segment_crossing () =
-  (* tiny segments force one batch to span several segment
-     allocations *)
-  let q = W.create ~segment_shift:1 ~max_garbage:2 () in
-  let h = W.register q in
-  let n = 100 in
-  W.enq_batch q h (Array.init n Fun.id);
-  let out = W.deq_batch q h n in
-  let got = Array.to_list out |> List.filter_map Fun.id in
-  check Alcotest.(list int) "order across segments" (List.init n Fun.id) got
-
-let test_batch_obs_counters () =
-  (* the instrumented build records batch sizes; the production build
-     compiles the event tier out *)
-  let module O = Wfq.Wfqueue_obs in
-  let q = O.create () in
-  let h = O.register q in
-  O.enq_batch q h [| 1; 2; 3 |];
-  ignore (O.deq_batch q h 3);
-  let s = O.stats q in
-  check Alcotest.int "enq batches" 1 s.Obs.Counters.enq_batches;
-  check Alcotest.int "enq batch cells" 3 s.Obs.Counters.enq_batch_cells;
-  check Alcotest.int "deq batches" 1 s.Obs.Counters.deq_batches;
-  check Alcotest.int "deq batch cells" 3 s.Obs.Counters.deq_batch_cells;
-  check (Alcotest.float 0.01) "avg enq batch" 3.0 (Obs.Counters.avg_enq_batch s);
-  (* production instantiation: event tier off *)
-  let q = W.create () in
-  let h = W.register q in
-  W.enq_batch q h [| 1; 2; 3 |];
-  ignore (W.deq_batch q h 3);
-  let s = W.stats q in
-  check Alcotest.int "disabled probe records no batches" 0 s.Obs.Counters.enq_batches;
-  check Alcotest.int "path tier still counted" 3 s.Obs.Counters.fast_enqueues
-
 let () =
   Alcotest.run "wfqueue"
     [
@@ -308,15 +212,5 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats_counting;
           Alcotest.test_case "per-handle stats" `Quick test_handle_stats_per_handle;
           Alcotest.test_case "patience accessor" `Quick test_patience_accessor;
-        ] );
-      ( "batch-ops",
-        [
-          Alcotest.test_case "roundtrip order" `Quick test_batch_roundtrip;
-          Alcotest.test_case "partial batch" `Quick test_batch_partial;
-          Alcotest.test_case "interleaves with singles" `Quick test_batch_interleaves_with_singles;
-          Alcotest.test_case "zero-size no-ops" `Quick test_batch_empty_noops;
-          Alcotest.test_case "one FAA per batch" `Quick test_batch_one_faa_per_batch;
-          Alcotest.test_case "segment crossing" `Quick test_batch_segment_crossing;
-          Alcotest.test_case "obs counters" `Quick test_batch_obs_counters;
         ] );
     ]
