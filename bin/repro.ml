@@ -80,12 +80,20 @@ let bench_arg =
   let doc = "Benchmark: 'pairs' (enqueue-dequeue pairs) or 'half' (50%-enqueues)." in
   Arg.(value & opt string "pairs" & info [ "benchmark"; "b" ] ~docv:"KIND" ~doc)
 
+let queue_name =
+  Arg.conv'
+    ( (fun n ->
+        match Harness.Queues.find n with
+        | Some f -> Ok f
+        | None -> Error (Printf.sprintf "unknown queue %S; try 'repro list'" n)),
+      fun ppf (f : Harness.Queues.factory) -> Format.pp_print_string ppf f.name )
+
 let queues_arg =
   let doc =
     "Comma-separated queue names to run (default: the Figure 2 set). Known names: see \
      'repro list'."
   in
-  Arg.(value & opt (some (list string)) None & info [ "queues" ] ~docv:"Q,Q,..." ~doc)
+  Arg.(value & opt (some (list queue_name)) None & info [ "queues" ] ~docv:"Q,Q,..." ~doc)
 
 let fig2_cmd =
   let run csv quick threads total_ops bench queues =
@@ -94,16 +102,6 @@ let fig2_cmd =
       prerr_endline e;
       exit 2
     | Ok kind ->
-      let queues =
-        Option.map
-          (List.map (fun n ->
-               match Harness.Queues.find n with
-               | Some f -> f
-               | None ->
-                 Printf.eprintf "unknown queue %S; try 'repro list'\n" n;
-                 exit 2))
-          queues
-      in
       save csv (Harness.Experiments.figure2 ~quick ~threads ?queues ?total_ops kind)
   in
   Cmd.v
@@ -125,44 +123,20 @@ let one_thread_arg =
   let doc = "Thread count for the ablation." in
   Arg.(value & opt thread_count 8 & info [ "threads" ] ~docv:"N" ~doc)
 
-let ablation cmd_name doc f =
-  let run csv quick threads total_ops = save csv (f ~quick ~threads ?total_ops ()) in
-  Cmd.v (Cmd.info cmd_name ~doc) Term.(const run $ csv_arg $ quick_arg $ one_thread_arg $ total_ops_arg)
-
-let ablation_patience_cmd =
-  ablation "ablation-patience" "PATIENCE sweep (fast/slow-path cutover)"
-    (fun ~quick ~threads ?total_ops () ->
-      Harness.Experiments.ablation_patience ~quick ~threads ?total_ops ())
-
-let ablation_segment_cmd =
-  ablation "ablation-segment" "Segment size sweep (the paper's N)"
-    (fun ~quick ~threads ?total_ops () ->
-      Harness.Experiments.ablation_segment_size ~quick ~threads ?total_ops ())
-
-let ablation_garbage_cmd =
-  ablation "ablation-garbage" "MAX_GARBAGE cleanup-threshold sweep"
-    (fun ~quick ~threads ?total_ops () ->
-      Harness.Experiments.ablation_max_garbage ~quick ~threads ?total_ops ())
-
-let ablation_reclaim_cmd =
-  ablation "ablation-reclaim" "Reclamation on/off on the hot path"
-    (fun ~quick ~threads ?total_ops () ->
-      Harness.Experiments.ablation_reclamation ~quick ~threads ?total_ops ())
+(* One subcommand per sweep of [Experiments.ablations]. *)
+let ablation_cmds =
+  List.map
+    (fun (sweep : Harness.Experiments.sweep) ->
+      let run csv quick threads total_ops =
+        save csv (Harness.Experiments.ablation ~quick ~threads ?total_ops sweep)
+      in
+      Cmd.v
+        (Cmd.info ("ablation-" ^ sweep.parameter) ~doc:sweep.doc)
+        Term.(const run $ csv_arg $ quick_arg $ one_thread_arg $ total_ops_arg))
+    Harness.Experiments.ablations
 
 let latency_cmd =
-  let run csv threads queues =
-    let queues =
-      Option.map
-        (List.map (fun n ->
-             match Harness.Queues.find n with
-             | Some f -> f
-             | None ->
-               Printf.eprintf "unknown queue %S; try 'repro list'\n" n;
-               exit 2))
-        queues
-    in
-    save csv (Harness.Latency.experiment ?queues ~threads ())
-  in
+  let run csv threads queues = save csv (Harness.Experiments.latency ?queues ~threads ()) in
   Cmd.v
     (Cmd.info "latency" ~doc:"Per-operation latency tails (the wait-freedom predictability claim)")
     Term.(const run $ csv_arg $ one_thread_arg $ queues_arg)
@@ -525,11 +499,10 @@ let all_cmd =
     ignore (Harness.Experiments.figure2 ~quick Harness.Workload.Pairs);
     ignore (Harness.Experiments.figure2 ~quick Harness.Workload.Fifty_fifty);
     ignore (Harness.Experiments.table2 ~quick ());
-    ignore (Harness.Latency.experiment ());
-    ignore (Harness.Experiments.ablation_patience ~quick ());
-    ignore (Harness.Experiments.ablation_segment_size ~quick ());
-    ignore (Harness.Experiments.ablation_max_garbage ~quick ());
-    ignore (Harness.Experiments.ablation_reclamation ~quick ())
+    ignore (Harness.Experiments.latency ());
+    List.iter
+      (fun sweep -> ignore (Harness.Experiments.ablation ~quick sweep))
+      Harness.Experiments.ablations
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Regenerate every table, figure and ablation in sequence")
@@ -549,21 +522,8 @@ let () =
   let code =
     Cmd.eval
        (Cmd.group info
-          [
-            table1_cmd;
-            fig2_cmd;
-            table2_cmd;
-            ablation_patience_cmd;
-            ablation_segment_cmd;
-            ablation_garbage_cmd;
-            ablation_reclaim_cmd;
-            latency_cmd;
-            stats_cmd;
-            inject_cmd;
-            bounded_cmd;
-            sched_cmd;
-            list_cmd;
-            all_cmd;
-          ])
+          ([ table1_cmd; fig2_cmd; table2_cmd ]
+          @ ablation_cmds
+          @ [ latency_cmd; stats_cmd; inject_cmd; bounded_cmd; sched_cmd; list_cmd; all_cmd ]))
   in
   exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -1,9 +1,9 @@
 (** CC-Queue (Fatourou & Kallimanis, PPoPP 2012): a blocking queue
     built from two {!Sync.Ccsynch} combining instances — one
     serializing enqueues over the list tail, one serializing dequeues
-    over the list head — over a dummy-headed linked list (the same
-    structural split as the two-lock queue, with each lock replaced by
-    combining).
+    over the list head — over a dummy-headed linked list (the
+    structural split of Michael and Scott's two-lock queue, with each
+    lock replaced by combining).
 
     Combining gives low synchronization traffic but no non-blocking
     progress: a descheduled combiner stalls its whole side, which is

@@ -1,2 +1,2 @@
 (* Hardware-atomics instantiation; see lcrq.mli. *)
-include Lcrq_algo.Make (Primitives.Atomic_prims.Real) (Obs.Probe.Disabled)
+include Lcrq_algo.Make (Primitives.Atomic_prims.Real)

@@ -18,6 +18,3 @@ val dequeue : 'a t -> 'a handle -> 'a option
 
 val ring_count : 'a t -> int
 (** Number of CRQs currently linked, for tests of ring turnover. *)
-
-val handle_stats : 'a handle -> Obs.Counters.t
-(** The handle's probe counters (zero here: probe disabled). *)

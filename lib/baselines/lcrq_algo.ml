@@ -1,24 +1,18 @@
-(* LCRQ as a functor over atomic primitives (rings included).
+(* LCRQ as a functor over atomic primitives (rings included), so the
+   model checker (simsched) can drive it on simulated atomics. *)
 
-   The probe argument mirrors the wait-free queue's: with [P.enabled]
-   each handle records operation counts and contention events
-   (ring-close on enqueue, ring-advance on dequeue) into an
-   [Obs.Counters.t], free when disabled. *)
-
-module Make (A : Primitives.Atomic_prims.S) (P : Obs.Probe.S) = struct
+module Make (A : Primitives.Atomic_prims.S) = struct
 module C = Crq_algo.Make (A)
 type 'a t = { head : 'a C.t A.t; tail : 'a C.t A.t; ring_size : int }
-type 'a handle = { stats : Obs.Counters.t }
+type 'a handle = unit
 
 let create ?(ring_size = 4096) () =
   let first = C.create ~size:ring_size in
   { head = A.make_contended first; tail = A.make_contended first; ring_size }
 
-let register _t = { stats = Obs.Counters.create_padded () }
+let register _t = ()
 
-let handle_stats h = h.stats
-
-let enqueue t h v =
+let enqueue t () v =
   let rec loop () =
     let crq = A.get t.tail in
     match A.get (C.next crq) with
@@ -30,8 +24,6 @@ let enqueue t h v =
       (match C.enqueue crq v with
       | `Ok -> ()
       | `Closed ->
-        if P.enabled then
-          h.stats.enq_cas_failures <- h.stats.enq_cas_failures + 1;
         let fresh = C.create ~size:t.ring_size in
         (match C.enqueue fresh v with
         | `Ok -> ()
@@ -40,10 +32,9 @@ let enqueue t h v =
           ignore (A.compare_and_set t.tail crq fresh)
         else loop ())
   in
-  loop ();
-  if P.enabled then h.stats.fast_enqueues <- h.stats.fast_enqueues + 1
+  loop ()
 
-let dequeue t h =
+let dequeue t () =
   let rec loop () =
     let crq = A.get t.head in
     match C.dequeue crq with
@@ -58,17 +49,10 @@ let dequeue t h =
         match C.dequeue crq with
         | Some v -> Some v
         | None ->
-          if P.enabled then
-            h.stats.deq_cas_failures <- h.stats.deq_cas_failures + 1;
           ignore (A.compare_and_set t.head crq n);
           loop ()))
   in
-  let v = loop () in
-  (if P.enabled then
-     match v with
-     | Some _ -> h.stats.fast_dequeues <- h.stats.fast_dequeues + 1
-     | None -> h.stats.empty_dequeues <- h.stats.empty_dequeues + 1);
-  v
+  loop ()
 
 let ring_count t =
   let rec count crq acc =

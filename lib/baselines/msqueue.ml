@@ -1,2 +1,2 @@
 (* Hardware-atomics instantiation; see msqueue.mli. *)
-include Msqueue_algo.Make (Primitives.Atomic_prims.Real) (Obs.Probe.Disabled)
+include Msqueue_algo.Make (Primitives.Atomic_prims.Real)

@@ -16,8 +16,3 @@ val enqueue : 'a t -> 'a handle -> 'a -> unit
 val dequeue : 'a t -> 'a handle -> 'a option
 val approx_length : 'a t -> int
 (** Counts nodes by walking the list; O(n), for tests. *)
-
-val handle_stats : 'a handle -> Obs.Counters.t
-(** The handle's probe counters.  All zero in this instantiation (the
-    probe is disabled); the telemetry harness uses the instrumented
-    [Msqueue_obs] instead. *)

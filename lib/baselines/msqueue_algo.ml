@@ -1,21 +1,14 @@
 (* The Michael-Scott algorithm as a functor over atomic primitives,
    so the model checker (simsched) can drive it on simulated atomics;
-   [Msqueue] instantiates it on hardware atomics.
+   [Msqueue] instantiates it on hardware atomics. *)
 
-   The second argument is the observability probe: when [P.enabled],
-   each handle carries an [Obs.Counters.t] recording operation counts
-   and CAS-retry events, so the telemetry harness can print the same
-   table for the baseline as for the wait-free queue.  [P.enabled] is
-   a compile-time constant — the disabled instantiation pays
-   nothing. *)
-
-module Make (A : Primitives.Atomic_prims.S) (P : Obs.Probe.S) = struct
+module Make (A : Primitives.Atomic_prims.S) = struct
 type 'a node = { value : 'a option; next : 'a node option A.t }
 
 (* head points at the current dummy; values live in its successors. *)
 type 'a t = { head : 'a node A.t; tail : 'a node A.t }
 
-type 'a handle = { backoff : Primitives.Backoff.t; stats : Obs.Counters.t }
+type 'a handle = { backoff : Primitives.Backoff.t }
 
 let create () =
   let dummy = { value = None; next = A.make None } in
@@ -23,10 +16,7 @@ let create () =
      unpadded they are four heap words apart, i.e. one cache line. *)
   { head = A.make_contended dummy; tail = A.make_contended dummy }
 
-let register _t =
-  { backoff = Primitives.Backoff.create (); stats = Obs.Counters.create_padded () }
-
-let handle_stats h = h.stats
+let register _t = { backoff = Primitives.Backoff.create () }
 
 let enqueue t h v =
   let n = { value = Some v; next = A.make None } in
@@ -40,8 +30,6 @@ let enqueue t h v =
           (* linearized; swinging the tail is best-effort *)
           ignore (A.compare_and_set t.tail tail n)
         else begin
-          if P.enabled then
-            h.stats.enq_cas_failures <- h.stats.enq_cas_failures + 1;
           Primitives.Backoff.backoff h.backoff;
           loop ()
         end
@@ -53,7 +41,6 @@ let enqueue t h v =
     else loop ()
   in
   loop ();
-  if P.enabled then h.stats.fast_enqueues <- h.stats.fast_enqueues + 1;
   Primitives.Backoff.reset h.backoff
 
 let dequeue t h =
@@ -74,8 +61,6 @@ let dequeue t h =
           let v = n.value in
           if A.compare_and_set t.head head n then v
           else begin
-            if P.enabled then
-              h.stats.deq_cas_failures <- h.stats.deq_cas_failures + 1;
             Primitives.Backoff.backoff h.backoff;
             loop ()
           end
@@ -84,10 +69,6 @@ let dequeue t h =
     else loop ()
   in
   let v = loop () in
-  (if P.enabled then
-     match v with
-     | Some _ -> h.stats.fast_dequeues <- h.stats.fast_dequeues + 1
-     | None -> h.stats.empty_dequeues <- h.stats.empty_dequeues + 1);
   Primitives.Backoff.reset h.backoff;
   v
 

@@ -1,2 +1,2 @@
 (* Hardware-atomics instantiation; see scq.mli. *)
-include Scq_algo.Make (Primitives.Atomic_prims.Real) (Obs.Probe.Disabled)
+include Scq_algo.Make (Primitives.Atomic_prims.Real)

@@ -35,6 +35,3 @@ val dequeue_or : 'a t -> 'a handle -> 'a -> 'a
 (** Allocation-free dequeue: returns the default when empty. *)
 
 val approx_length : 'a t -> int
-
-val handle_stats : 'a handle -> Obs.Counters.t
-(** The handle's probe counters (zero here: probe disabled). *)

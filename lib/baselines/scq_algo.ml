@@ -28,9 +28,9 @@
    The paper's cache_remap (spreading consecutive tickets across
    lines) is omitted: OCaml atomics are boxed, so entry cells are
    already separate heap blocks and the remap would only permute
-   pointers.  The probe argument mirrors LCRQ's. *)
+   pointers. *)
 
-module Make (A : Primitives.Atomic_prims.S) (P : Obs.Probe.S) = struct
+module Make (A : Primitives.Atomic_prims.S) = struct
   module Ring = struct
     type t = {
       order : int; (* capacity n = 2^order; the ring has 2n entries *)
@@ -170,7 +170,7 @@ module Make (A : Primitives.Atomic_prims.S) (P : Obs.Probe.S) = struct
     capacity : int;
   }
 
-  type 'a handle = { stats : Obs.Counters.t }
+  type 'a handle = unit
 
   (* Private block: never physically equal to a stored payload. *)
   let empty_w : Obj.t = Obj.repr (ref 0)
@@ -186,8 +186,7 @@ module Make (A : Primitives.Atomic_prims.S) (P : Obs.Probe.S) = struct
     }
 
   let capacity t = t.capacity
-  let register _t = { stats = Obs.Counters.create_padded () }
-  let handle_stats h = h.stats
+  let register _t = ()
 
   let enq_index t v i =
     A.set t.data.(i) (Obj.repr v);
@@ -195,14 +194,11 @@ module Make (A : Primitives.Atomic_prims.S) (P : Obs.Probe.S) = struct
 
   (* Bounded-queue surface: reject instead of spinning when no free
      index exists (the SCQ analogue of the WF queue's [try_enqueue]). *)
-  let try_enqueue t h v =
+  let try_enqueue t () v =
     match Ring.dequeue t.fq with
-    | -1 ->
-      if P.enabled then h.stats.enq_cas_failures <- h.stats.enq_cas_failures + 1;
-      false
+    | -1 -> false
     | i ->
       enq_index t v i;
-      if P.enabled then h.stats.fast_enqueues <- h.stats.fast_enqueues + 1;
       true
 
   (* Infallible enqueue for the harness: spin until a consumer frees
@@ -215,32 +211,24 @@ module Make (A : Primitives.Atomic_prims.S) (P : Obs.Probe.S) = struct
       free_index fq
     | i -> i
 
-  let enqueue t h v =
-    enq_index t v (free_index t.fq);
-    if P.enabled then h.stats.fast_enqueues <- h.stats.fast_enqueues + 1
+  let enqueue t () v = enq_index t v (free_index t.fq)
 
-  let dequeue_or t h default =
+  let dequeue_or t () default =
     match Ring.dequeue t.aq with
-    | -1 ->
-      if P.enabled then h.stats.empty_dequeues <- h.stats.empty_dequeues + 1;
-      default
+    | -1 -> default
     | i ->
       let w = A.get t.data.(i) in
       A.set t.data.(i) empty_w; (* GC hygiene before the index recirculates *)
       Ring.enqueue t.fq i;
-      if P.enabled then h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
       (Obj.obj w : 'a)
 
-  let dequeue t h =
+  let dequeue t () =
     match Ring.dequeue t.aq with
-    | -1 ->
-      if P.enabled then h.stats.empty_dequeues <- h.stats.empty_dequeues + 1;
-      None
+    | -1 -> None
     | i ->
       let w = A.get t.data.(i) in
       A.set t.data.(i) empty_w;
       Ring.enqueue t.fq i;
-      if P.enabled then h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
       Some (Obj.obj w : 'a)
 
   (* Occupancy gauge from the aq tickets; approximate under races. *)

@@ -69,8 +69,6 @@ let default_rows ?warmup_pairs ?pairs () =
     (* instrumented build: the event tier must add no words *)
     measure ?warmup_pairs ?pairs ~via_dequeue_or:true
       (Queues.wf_obs ~patience:10 ~name:"wf-10-obs-deq-or" ());
-    (* the int queue end to end *)
-    measure ?warmup_pairs ?pairs ~via_dequeue_or:true (Queues.wf_int ~patience:10 ());
     (* bounded-memory mode: the cap bookkeeping (admission reads, the
        budget FAA, pool recycling) must add no words per operation *)
     measure ?warmup_pairs ?pairs ~via_dequeue_or:true

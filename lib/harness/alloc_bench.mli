@@ -10,10 +10,10 @@
     reproducible to a fraction of a word, which is what an exact
     assertion needs.
 
-    The default rows tell the PR-6 story: the generic option API pays
-    exactly its [Some] box, [dequeue_or] pays nothing, the
-    instrumented build pays no extra words, and the int queue is zero
-    end to end. *)
+    The default rows tell the allocation story: the generic option
+    API pays exactly its [Some] box, [dequeue_or] pays nothing, and
+    the instrumented build, the bounded mode and the SCQ ring pay no
+    extra words. *)
 
 type row = {
   aname : string;
@@ -32,5 +32,5 @@ val measure :
 
 val default_rows : ?warmup_pairs:int -> ?pairs:int -> unit -> row list
 (** The pinned set: wf-10 (option API), wf-10-deq-or, wf-10-obs-deq-or,
-    wf-int-10, wf-bounded-deq-or and scq-deq-or.  Every [dequeue_or]
-    row must hold the hot-path zero. *)
+    wf-bounded-deq-or and scq-deq-or.  Every [dequeue_or] row must
+    hold the hot-path zero. *)

@@ -95,72 +95,106 @@ let table2 ?(quick = false) ?threads ?total_ops () =
   Report.print ~title:"Table 2: execution-path breakdown of WF-0, 50%-enqueues benchmark" t;
   t
 
-(* ------------------------------------------------------------------ *)
-(* Ablations                                                          *)
-
-let one_number ~quick factory spec ~threads =
-  let report = Runner.measure ~quick factory spec ~threads in
-  Report.cell_ci report.Stats.Steady_state.interval
-
-let ablation_patience ?(quick = false) ?(threads = 8) ?(values = [ 0; 1; 2; 10; 64 ]) ?total_ops
-    () =
-  let spec = spec_for Workload.Pairs ~quick ~total_ops in
-  let t = Report.create ~header:[ "patience"; "Mops/s (pairs)" ] in
+let latency ?(queues = Queues.figure2_set) ?(threads = 8) ?(ops_per_thread = 20_000) () =
+  let spec =
+    {
+      (Workload.scaled Workload.Fifty_fifty ~total_ops:(threads * ops_per_thread)) with
+      work_ns = None;
+    }
+  in
+  let t =
+    Report.create
+      ~header:[ "queue"; "p50 ns"; "p90 ns"; "p99 ns"; "p99.9 ns"; "max ns"; "samples" ]
+  in
   List.iter
-    (fun p ->
-      Report.add_row t [ string_of_int p; one_number ~quick (Queues.wf ~patience:p ()) spec ~threads ])
-    values;
-  Report.print ~title:(Printf.sprintf "Ablation: PATIENCE (fast/slow cutover), %d threads" threads) t;
-  t
-
-let ablation_segment_size ?(quick = false) ?(threads = 8) ?(shifts = [ 4; 6; 8; 10; 12; 14 ])
-    ?total_ops () =
-  let spec = spec_for Workload.Pairs ~quick ~total_ops in
-  let t = Report.create ~header:[ "segment cells"; "Mops/s (pairs)" ] in
-  List.iter
-    (fun s ->
+    (fun (f : Queues.factory) ->
+      let r = Telemetry.run (f.Queues.make ()) spec ~threads in
+      let h = Obs.Op_latency.combined r.Telemetry.latency in
+      let ns v = Printf.sprintf "%.0f" v in
+      let p q = ns (Stats.Histogram.percentile h q) in
       Report.add_row t
         [
-          Printf.sprintf "2^%d" s;
-          one_number ~quick (Queues.wf ~segment_shift:s ~name:(Printf.sprintf "wf-seg%d" s) ()) spec
-            ~threads;
+          f.Queues.name;
+          p 50.0;
+          p 90.0;
+          p 99.0;
+          p 99.9;
+          ns (Stats.Histogram.max_recorded h);
+          string_of_int (Stats.Histogram.count h);
         ])
-    shifts;
-  Report.print ~title:(Printf.sprintf "Ablation: segment size N, %d threads" threads) t;
-  t
-
-let ablation_max_garbage ?(quick = false) ?(threads = 8) ?(values = [ 2; 4; 16; 64; 256 ])
-    ?total_ops () =
-  let spec = spec_for Workload.Pairs ~quick ~total_ops in
-  let t = Report.create ~header:[ "max garbage"; "Mops/s (pairs)" ] in
-  List.iter
-    (fun g ->
-      Report.add_row t
-        [
-          string_of_int g;
-          one_number ~quick
-            (Queues.wf ~max_garbage:g ~segment_shift:6 ~name:(Printf.sprintf "wf-mg%d" g) ())
-            spec ~threads;
-        ])
-    values;
+    queues;
   Report.print
     ~title:
-      (Printf.sprintf "Ablation: cleanup amortization threshold MAX_GARBAGE, %d threads" threads)
+      (Printf.sprintf
+         "Latency tails (50%%-enqueues, %d threads): the wait-freedom 'predictability' claim"
+         threads)
     t;
   t
 
-let ablation_reclamation ?(quick = false) ?(threads = 8) ?total_ops () =
+(* ------------------------------------------------------------------ *)
+(* Ablations                                                          *)
+
+type sweep = {
+  parameter : string;
+  doc : string;
+  column : string;
+  title : string;
+  points : (string * Queues.factory) list;
+}
+
+let over label factory values = List.map (fun v -> (label v, factory v)) values
+
+let ablations =
+  [
+    {
+      parameter = "patience";
+      doc = "PATIENCE sweep (fast/slow-path cutover)";
+      column = "patience";
+      title = "PATIENCE (fast/slow cutover)";
+      points = over string_of_int (fun p -> Queues.wf ~patience:p ()) [ 0; 1; 2; 10; 64 ];
+    };
+    {
+      parameter = "segment";
+      doc = "Segment size sweep (the paper's N)";
+      column = "segment cells";
+      title = "segment size N";
+      points =
+        over (Printf.sprintf "2^%d")
+          (fun s -> Queues.wf ~segment_shift:s ~name:(Printf.sprintf "wf-seg%d" s) ())
+          [ 4; 6; 8; 10; 12; 14 ];
+    };
+    {
+      parameter = "garbage";
+      doc = "MAX_GARBAGE cleanup-threshold sweep";
+      column = "max garbage";
+      title = "cleanup amortization threshold MAX_GARBAGE";
+      points =
+        over string_of_int
+          (fun g ->
+            Queues.wf ~max_garbage:g ~segment_shift:6 ~name:(Printf.sprintf "wf-mg%d" g) ())
+          [ 2; 4; 16; 64; 256 ];
+    };
+    {
+      parameter = "reclaim";
+      doc = "Reclamation on/off on the hot path";
+      column = "reclamation";
+      title = "memory reclamation on the hot path";
+      points =
+        over
+          (fun on -> if on then "on" else "off")
+          (fun on ->
+            Queues.wf ~reclamation:on ~name:(if on then "wf-reclaim" else "wf-noreclaim") ())
+          [ true; false ];
+    };
+  ]
+
+let ablation ?(quick = false) ?(threads = 8) ?total_ops sweep =
   let spec = spec_for Workload.Pairs ~quick ~total_ops in
-  let t = Report.create ~header:[ "reclamation"; "Mops/s (pairs)" ] in
+  let t = Report.create ~header:[ sweep.column; "Mops/s (pairs)" ] in
   List.iter
-    (fun on ->
-      Report.add_row t
-        [
-          (if on then "on" else "off");
-          one_number ~quick
-            (Queues.wf ~reclamation:on ~name:(if on then "wf-reclaim" else "wf-noreclaim") ())
-            spec ~threads;
-        ])
-    [ true; false ];
-  Report.print ~title:(Printf.sprintf "Ablation: memory reclamation on the hot path, %d threads" threads) t;
+    (fun (label, factory) ->
+      let report = Runner.measure ~quick factory spec ~threads in
+      Report.add_row t [ label; Report.cell_ci report.Stats.Steady_state.interval ])
+    sweep.points;
+  Report.print ~title:(Printf.sprintf "Ablation: %s, %d threads" sweep.title threads) t;
   t

@@ -27,15 +27,32 @@ val table2 : ?quick:bool -> ?threads:int list -> ?total_ops:int -> unit -> Repor
     (% slow-path enqueues / dequeues / empty dequeues), including
     oversubscribed thread counts, as in Table 2. *)
 
-(** {1 Ablations} (DESIGN.md §4) *)
+val latency :
+  ?queues:Queues.factory list -> ?threads:int -> ?ops_per_thread:int -> unit -> Report.t
+(** The latency-tail table ([repro latency]): one {!Telemetry.run} per
+    queue on the 50%-enqueues workload without think time, with p50,
+    p90, p99, p99.9, max and the sample count over every operation
+    class.  Defaults: the Figure 2 set, 8 threads, 20k operations
+    each.  The timed window holds the clock reads and the alloc
+    meter's two [Gc.minor_words] reads, so compare queues, not
+    absolute values. *)
 
-val ablation_patience :
-  ?quick:bool -> ?threads:int -> ?values:int list -> ?total_ops:int -> unit -> Report.t
+(** {1 Ablations} (DESIGN.md §4)
 
-val ablation_segment_size :
-  ?quick:bool -> ?threads:int -> ?shifts:int list -> ?total_ops:int -> unit -> Report.t
+    One driver over a table of sweeps: each sweep runs the pairs
+    benchmark once per point with the {!Runner.measure} methodology
+    and prints one row per point. *)
 
-val ablation_max_garbage :
-  ?quick:bool -> ?threads:int -> ?values:int list -> ?total_ops:int -> unit -> Report.t
+type sweep = {
+  parameter : string;  (** the swept knob; [repro ablation-<parameter>] *)
+  doc : string;  (** one-line description (the subcommand's help) *)
+  column : string;  (** header of the label column *)
+  title : string;  (** what the table's title names *)
+  points : (string * Queues.factory) list;  (** row label, queue *)
+}
 
-val ablation_reclamation : ?quick:bool -> ?threads:int -> ?total_ops:int -> unit -> Report.t
+val ablations : sweep list
+(** patience, segment, garbage, reclaim. *)
+
+val ablation : ?quick:bool -> ?threads:int -> ?total_ops:int -> sweep -> Report.t
+(** Run one sweep at [threads] (default 8) and print its table. *)

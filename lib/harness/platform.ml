@@ -92,14 +92,3 @@ let host () =
     cc_protocol = "unknown (container)";
     native_faa = Sys.word_size = 64;
   }
-
-let pp_table ppf rows =
-  let open Format in
-  fprintf ppf "%-36s %9s %6s %6s %9s %10s %11s@." "Processor Model" "Clock" "Procs" "Cores"
-    "Threads" "CC Proto" "Native FAA";
-  List.iter
-    (fun r ->
-      fprintf ppf "%-36s %6.2fGHz %6d %6d %9d %10s %11s@." r.processor r.clock_ghz r.processors
-        r.cores r.hw_threads r.cc_protocol
-        (if r.native_faa then "yes" else "no"))
-    rows

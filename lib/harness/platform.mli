@@ -21,5 +21,3 @@ val paper_rows : row list
 val host : unit -> row
 (** Best-effort description of this machine.  Fields that cannot be
     determined are filled with conservative defaults. *)
-
-val pp_table : Format.formatter -> row list -> unit

@@ -8,9 +8,8 @@ type ops = {
 (* Build an [ops], deriving [dequeue_or] from the option-returning
    dequeue when the implementation has no native one.  The derived
    form still pays the implementation's [Some] box; queues with a real
-   word-returning path (the WF family since PR 6) pass [~dequeue_or]
-   so the alloc probe and the int-vs-boxed rows measure the genuine
-   allocation-free dequeue. *)
+   word-returning path (the WF family, SCQ) pass [~dequeue_or] so the
+   alloc rows measure the genuine allocation-free dequeue. *)
 let make_ops ?dequeue_or ~enqueue ~dequeue ~release () =
   let dequeue_or =
     match dequeue_or with
@@ -34,108 +33,103 @@ type factory = {
   make : unit -> instance;
 }
 
-let wf ?(patience = 10) ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name = match name with Some n -> n | None -> Printf.sprintf "wf-%d" patience in
+(* The operations every WF build shares, so one builder serves the
+   production queue, the instrumented build and the LL/SC-emulated
+   one: each registers a handle per domain, retires it on [release]
+   (so steady-state iterations on one instance measure the queue, not
+   an ever-growing ring of dead handles; the next iteration's register
+   recycles the slot) and reports its path counters and snapshot. *)
+module type WF = sig
+  type 'a t
+  type 'a handle
+
+  val create :
+    ?patience:int ->
+    ?segment_shift:int ->
+    ?max_garbage:int ->
+    ?reclamation:bool ->
+    ?segment_cap:int ->
+    unit ->
+    'a t
+
+  val register : 'a t -> 'a handle
+  val enqueue : 'a t -> 'a handle -> 'a -> unit
+  val dequeue : 'a t -> 'a handle -> 'a option
+  val dequeue_or : 'a t -> 'a handle -> 'a -> 'a
+  val retire : 'a t -> 'a handle -> unit
+  val stats : 'a t -> Wfq.Op_stats.t
+  val reset_stats : 'a t -> unit
+  val snapshot : 'a t -> Obs.Snapshot.t
+end
+
+let wf_build (module Q : WF) ~name ~description ?patience ?segment_shift ?max_garbage
+    ?reclamation ?segment_cap () =
   {
     name;
-    description =
-      Printf.sprintf "wait-free queue (patience %d%s)" patience
-        (match reclamation with Some false -> ", reclamation off" | Some true | None -> "");
+    description;
     is_real_queue = true;
     make =
       (fun () ->
-        let q = Wfq.Wfqueue.create ~patience ?segment_shift ?max_garbage ?reclamation () in
+        let q = Q.create ?patience ?segment_shift ?max_garbage ?reclamation ?segment_cap () in
         {
           iname = name;
           register =
             (fun () ->
-              let h = Wfq.Wfqueue.register q in
-              (* retire on release so steady-state iterations on one
-                 instance measure the queue, not an ever-growing ring
-                 of dead handles; the next iteration's register
-                 recycles the slot *)
+              let h = Q.register q in
               make_ops
-                ~enqueue:(fun v -> Wfq.Wfqueue.enqueue q h v)
-                ~dequeue:(fun () -> Wfq.Wfqueue.dequeue q h)
-                ~dequeue_or:(fun d -> Wfq.Wfqueue.dequeue_or q h d)
-                ~release:(fun () -> Wfq.Wfqueue.retire q h)
+                ~enqueue:(fun v -> Q.enqueue q h v)
+                ~dequeue:(fun () -> Q.dequeue q h)
+                ~dequeue_or:(fun d -> Q.dequeue_or q h d)
+                ~release:(fun () -> Q.retire q h)
                 ());
-          op_stats = (fun () -> Some (Wfq.Wfqueue.stats q));
-          reset_op_stats = (fun () -> Wfq.Wfqueue.reset_stats q);
-          snapshot = (fun () -> Some (Wfq.Wfqueue.snapshot q));
+          op_stats = (fun () -> Some (Q.stats q));
+          reset_op_stats = (fun () -> Q.reset_stats q);
+          snapshot = (fun () -> Some (Q.snapshot q));
         });
   }
+
+let wf ?(patience = 10) ?segment_shift ?max_garbage ?reclamation ?name () =
+  wf_build
+    (module Wfq.Wfqueue)
+    ~name:(Option.value name ~default:(Printf.sprintf "wf-%d" patience))
+    ~description:
+      (Printf.sprintf "wait-free queue (patience %d%s)" patience
+         (match reclamation with Some false -> ", reclamation off" | Some true | None -> ""))
+    ~patience ?segment_shift ?max_garbage ?reclamation ()
 
 (* Same queue, instrumented instantiation: the probe's event tier (CAS
-   failures, cells skipped, helping) is compiled in.  Benchmarked
-   side-by-side with [wf] to price the instrumentation; used by
-   [repro stats] and the bench telemetry block. *)
+   failures, cells skipped, helping) is compiled in.  [repro stats]
+   runs it; its alloc row checks that the event tier adds no words. *)
 let wf_obs ?(patience = 10) ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name =
-    match name with Some n -> n | None -> Printf.sprintf "wf-%d-obs" patience
-  in
-  {
-    name;
-    description =
-      Printf.sprintf "wait-free queue (patience %d), telemetry probe enabled" patience;
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Wfq.Wfqueue_obs.create ~patience ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Wfq.Wfqueue_obs.register q in
-              make_ops
-                ~enqueue:(fun v -> Wfq.Wfqueue_obs.enqueue q h v)
-                ~dequeue:(fun () -> Wfq.Wfqueue_obs.dequeue q h)
-                ~dequeue_or:(fun d -> Wfq.Wfqueue_obs.dequeue_or q h d)
-                ~release:(fun () -> Wfq.Wfqueue_obs.retire q h)
-                ());
-          op_stats = (fun () -> Some (Wfq.Wfqueue_obs.stats q));
-          reset_op_stats = (fun () -> Wfq.Wfqueue_obs.reset_stats q);
-          snapshot = (fun () -> Some (Wfq.Wfqueue_obs.snapshot q));
-        });
-  }
+  wf_build
+    (module Wfq.Wfqueue_obs)
+    ~name:(Option.value name ~default:(Printf.sprintf "wf-%d-obs" patience))
+    ~description:
+      (Printf.sprintf "wait-free queue (patience %d), telemetry probe enabled" patience)
+    ~patience ?segment_shift ?max_garbage ?reclamation ()
 
-(* The production queue at [int], with the per-domain ops routing
-   dequeues through the allocation-free [dequeue_or] (EMPTY = min_int
-   sentinel, outside the bench payload domain of small non-negative
-   ints) and wrapping the option only when a caller insists on
-   [dequeue].  Benched against [wf] to price the generic API's option
-   box, the one hot-path allocation the generic API keeps by
-   design. *)
-let wf_int ?(patience = 10) ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name = match name with Some n -> n | None -> Printf.sprintf "wf-int-%d" patience in
-  {
-    name;
-    description =
-      Printf.sprintf "wait-free queue, int-specialized API (patience %d, no option box)"
-        patience;
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Wfq.Wfqueue.create ~patience ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Wfq.Wfqueue.register q in
-              make_ops
-                ~enqueue:(fun v -> Wfq.Wfqueue.enqueue q h v)
-                ~dequeue:(fun () ->
-                  let v = Wfq.Wfqueue.dequeue_or q h min_int in
-                  if v = min_int then None else Some v)
-                ~dequeue_or:(fun d -> Wfq.Wfqueue.dequeue_or q h d)
-                ~release:(fun () -> Wfq.Wfqueue.retire q h)
-                ());
-          op_stats = (fun () -> Some (Wfq.Wfqueue.stats q));
-          reset_op_stats = (fun () -> Wfq.Wfqueue.reset_stats q);
-          snapshot = (fun () -> Some (Wfq.Wfqueue.snapshot q));
-        });
-  }
+(* The bounded-memory build of the production queue (DESIGN.md §11):
+   a hard segment cap with freelist-recycled segments.  The bench ops
+   use the plain (blocking-backpressure) enqueue — the pairs workload
+   never approaches the cap, so the row prices the bounded build's
+   bookkeeping (budget FAA per fresh segment, admission fields), not
+   contention on the cap. *)
+let wf_bounded ?(patience = 10) ?(segment_cap = 64) ?segment_shift ?max_garbage ?name () =
+  wf_build
+    (module Wfq.Wfqueue)
+    ~name:(Option.value name ~default:"wf-bounded")
+    ~description:
+      (Printf.sprintf "wait-free queue, bounded-memory mode (cap %d segments)" segment_cap)
+    ~patience ~segment_cap ?segment_shift ?max_garbage ()
 
+let wf_llsc =
+  wf_build
+    (module Wfq.Wfqueue_llsc)
+    ~name:"wf-llsc"
+    ~description:"wait-free queue with CAS-emulated FAA (the paper's Power7 setup; lock-free)"
+    ()
+
+(* The baselines: ops only, no path counters or snapshot. *)
 let simple name description is_real_queue make_ops =
   {
     name;
@@ -150,41 +144,6 @@ let simple name description is_real_queue make_ops =
           op_stats = (fun () -> None);
           reset_op_stats = ignore;
           snapshot = (fun () -> None);
-        });
-  }
-
-(* The bounded-memory build of the production queue (DESIGN.md §11):
-   a hard segment cap with freelist-recycled segments.  The bench ops
-   use the plain (blocking-backpressure) enqueue — the pairs workload
-   never approaches the cap, so the row prices the bounded build's
-   bookkeeping (budget FAA per fresh segment, admission fields), not
-   contention on the cap. *)
-let wf_bounded ?(patience = 10) ?(segment_cap = 64) ?segment_shift ?max_garbage ?name () =
-  let name = match name with Some n -> n | None -> "wf-bounded" in
-  {
-    name;
-    description =
-      Printf.sprintf "wait-free queue, bounded-memory mode (cap %d segments)" segment_cap;
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q =
-          Wfq.Wfqueue.create ~patience ~segment_cap ?segment_shift ?max_garbage ()
-        in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Wfq.Wfqueue.register q in
-              make_ops
-                ~enqueue:(fun v -> Wfq.Wfqueue.enqueue q h v)
-                ~dequeue:(fun () -> Wfq.Wfqueue.dequeue q h)
-                ~dequeue_or:(fun d -> Wfq.Wfqueue.dequeue_or q h d)
-                ~release:(fun () -> Wfq.Wfqueue.retire q h)
-                ());
-          op_stats = (fun () -> Some (Wfq.Wfqueue.stats q));
-          reset_op_stats = (fun () -> Wfq.Wfqueue.reset_stats q);
-          snapshot = (fun () -> Some (Wfq.Wfqueue.snapshot q));
         });
   }
 
@@ -241,48 +200,6 @@ let msqueue =
           ~dequeue:(fun () -> Baselines.Msqueue.dequeue q h)
           ~release:ignore ())
 
-let two_lock =
-  simple "two-lock" "Michael-Scott two-lock queue (blocking)" true (fun () ->
-      let q = Baselines.Two_lock_queue.create () in
-      fun () ->
-        let h = Baselines.Two_lock_queue.register q in
-        make_ops
-          ~enqueue:(fun v -> Baselines.Two_lock_queue.enqueue q h v)
-          ~dequeue:(fun () -> Baselines.Two_lock_queue.dequeue q h)
-          ~release:ignore ())
-
-let mutex =
-  simple "mutex" "global mutex around Stdlib.Queue (blocking)" true (fun () ->
-      let q = Baselines.Mutex_queue.create () in
-      fun () ->
-        let h = Baselines.Mutex_queue.register q in
-        make_ops
-          ~enqueue:(fun v -> Baselines.Mutex_queue.enqueue q h v)
-          ~dequeue:(fun () -> Baselines.Mutex_queue.dequeue q h)
-          ~release:ignore ())
-
-let wf_llsc =
-  simple "wf-llsc" "wait-free queue with CAS-emulated FAA (the paper's Power7 setup; lock-free)"
-    true (fun () ->
-      let q = Wfq.Wfqueue_llsc.create () in
-      fun () ->
-        let h = Wfq.Wfqueue_llsc.register q in
-        make_ops
-          ~enqueue:(fun v -> Wfq.Wfqueue_llsc.enqueue q h v)
-          ~dequeue:(fun () -> Wfq.Wfqueue_llsc.dequeue q h)
-          ~dequeue_or:(fun d -> Wfq.Wfqueue_llsc.dequeue_or q h d)
-          ~release:(fun () -> Wfq.Wfqueue_llsc.retire q h) ())
-
-let kp_queue =
-  simple "kp" "Kogan-Petrank queue (wait-free, phase-based helping)" true (fun () ->
-      let q = Baselines.Kp_queue.create ~max_threads:32 () in
-      fun () ->
-        let h = Baselines.Kp_queue.register q in
-        make_ops
-          ~enqueue:(fun v -> Baselines.Kp_queue.enqueue q h v)
-          ~dequeue:(fun () -> Baselines.Kp_queue.dequeue q h)
-          ~release:ignore ())
-
 let faa =
   simple "faa" "FAA microbenchmark (throughput upper bound, not a queue)" false (fun () ->
       let q = Baselines.Faa_bench.create () in
@@ -298,16 +215,12 @@ let all =
     wf ~patience:10 ();
     wf ~patience:0 ();
     wf_obs ~patience:10 ();
-    wf_int ~patience:10 ();
     wf_bounded ();
     wf_llsc;
     scq ();
     lcrq ();
     ccqueue;
     msqueue;
-    kp_queue;
-    two_lock;
-    mutex;
     faa;
   ]
 
@@ -315,7 +228,6 @@ let figure2_set =
   [
     wf ~patience:10 ();
     wf ~patience:0 ();
-    wf_int ~patience:10 ();
     wf_bounded ();
     scq ();
     lcrq ();

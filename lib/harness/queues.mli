@@ -58,12 +58,6 @@ val wf_obs : ?patience:int -> ?segment_shift:int -> ?max_garbage:int -> ?reclama
     probe's event tier is compiled in.  Its throughput delta against
     {!wf} is the measured cost of instrumentation. *)
 
-val wf_int : ?patience:int -> ?segment_shift:int -> ?max_garbage:int -> ?reclamation:bool ->
-  ?name:string -> unit -> factory
-(** {!wf} at [int Wfq.Wfqueue.t], with dequeues routed through the
-    allocation-free [dequeue_or] (EMPTY = [min_int]).  Its delta
-    against {!wf} prices the generic API's option box. *)
-
 val wf_bounded :
   ?patience:int ->
   ?segment_cap:int ->
@@ -84,16 +78,16 @@ val scq : ?order:int -> ?name:string -> unit -> factory
     [enqueue] spins on a full ring; [dequeue_or] is native. *)
 
 val all : factory list
-(** The evaluation set: wf-10, wf-0, wf-10-obs (instrumented), wf-int-10
-    (dequeues through [dequeue_or]), wf-bounded (capped segment
-    freelist), wf-llsc (CAS-emulated FAA, the paper's Power7
-    configuration), scq (bounded ring), lcrq, ccqueue, msqueue,
-    kp (Kogan-Petrank), two-lock, mutex, faa. *)
+(** The evaluation set: the paper's comparison set (wf-10, wf-0, lcrq,
+    ccqueue, msqueue and the faa bound), plus wf-10-obs
+    (instrumented), wf-bounded (capped segment freelist), wf-llsc
+    (CAS-emulated FAA, the paper's Power7 configuration) and scq
+    (bounded ring).  Every WF build reports op stats and a snapshot. *)
 
 val figure2_set : factory list
-(** The queues plotted in Figure 2 (all of [all] except the
-    instrumented build, wf-llsc and the extra blocking baselines), so
-    the scaling tables also cover wf-int-10, wf-bounded and scq. *)
+(** The queues plotted in Figure 2: all of [all] except the
+    instrumented build and wf-llsc, so the scaling tables also cover
+    wf-bounded and scq. *)
 
 val find : string -> factory option
 val names : unit -> string list

@@ -43,10 +43,12 @@ let run_once (instance : Queues.instance) (spec : Workload.spec) ~threads =
   let ops = Array.fold_left ( + ) 0 done_counts in
   let injected_ns = expected_injected_ns spec ~ops in
   let mops = float_of_int ops /. elapsed_s /. 1e6 in
-  (* On this single-core host all spins serialize, so their wall cost
-     is their sum; clamp to keep at least 10% of elapsed time in case
+  (* The spins of [threads] domains run in parallel on up to
+     [recommended_domain_count] cores, so their wall cost is their sum
+     over that many; clamp to keep at least 10% of elapsed time in case
      calibration drifted. *)
-  let work_wall_s = injected_ns /. 1e9 in
+  let spinners = min threads (Domain.recommended_domain_count ()) in
+  let work_wall_s = injected_ns /. 1e9 /. float_of_int spinners in
   let op_time_s = Float.max (elapsed_s -. work_wall_s) (elapsed_s *. 0.1) in
   let mops_excl_work = float_of_int ops /. op_time_s /. 1e6 in
   { threads; ops; elapsed_s; injected_ns; mops; mops_excl_work }

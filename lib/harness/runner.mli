@@ -5,12 +5,14 @@
     outside the timed region, run every thread's share of the
     workload, and report aggregate throughput.
 
-    {b Host adaptation} (DESIGN.md §2.1): this machine exposes one
-    hardware thread, so every spin of injected "think time" competes
-    for the same core as queue work.  The paper excludes think time
+    {b Host adaptation} (DESIGN.md §2.1): the host has fewer cores
+    than the paper's machines, so spins of injected "think time"
+    compete for cores with queue work.  The paper excludes think time
     from its numbers; we do the same by estimating the wall-clock cost
-    of the injected spins (they serialize on one core) and reporting
-    both raw and work-excluded throughput. *)
+    of the injected spins (their sum divided by
+    [min threads (Domain.recommended_domain_count ())], the number of
+    domains that can spin at once) and reporting both raw and
+    work-excluded throughput. *)
 
 type measurement = {
   threads : int;

@@ -45,43 +45,29 @@ let timed_ops (ops : Queues.ops) (lat : Obs.Op_latency.t) (alloc : Obs.Alloc_pro
         (fun () -> ops.Queues.dequeue_or d))
     ~release:ops.Queues.release ()
 
+(* [Runner.run_once] on an instance whose [register] wraps each
+   worker's ops in a meter pair of its own: [Gc.minor_words] counts
+   the calling domain only, so a shared accumulator would both race
+   and misattribute.  The pairs are merged after the workers join. *)
 let run (instance : Queues.instance) (spec : Workload.spec) ~threads =
-  if threads < 1 || threads > Runner.max_threads then
-    invalid_arg
-      (Printf.sprintf "Telemetry.run: threads must be in [1, %d]" Runner.max_threads);
-  ignore (Primitives.Spin_work.calibrate ());
-  let start_barrier = Sync.Barrier.create (threads + 1) in
-  let done_counts = Array.make threads 0 in
-  let latencies = Array.init threads (fun _ -> Obs.Op_latency.create ()) in
-  (* one accumulator per worker: [Gc.minor_words] counts the calling
-     domain only, so cross-domain sharing would both race and
-     misattribute *)
-  let allocs = Array.init threads (fun _ -> Obs.Alloc_probe.create ()) in
-  let workers =
-    List.init threads (fun thread ->
-        Domain.spawn (fun () ->
-            let ops =
-              timed_ops (instance.Queues.register ()) latencies.(thread) allocs.(thread)
-            in
-            let body = Workload.thread_body spec ~thread ops ~threads in
-            Sync.Barrier.await start_barrier;
-            done_counts.(thread) <- body ();
-            ops.release ()))
+  let meters = ref [] and lock = Mutex.create () in
+  let register () =
+    let latency = Obs.Op_latency.create () and alloc = Obs.Alloc_probe.create () in
+    Mutex.protect lock (fun () -> meters := (latency, alloc) :: !meters);
+    timed_ops (instance.Queues.register ()) latency alloc
   in
-  Sync.Barrier.await start_barrier;
-  let t0 = Primitives.Clock.now () in
-  List.iter Domain.join workers;
-  let elapsed_s = Primitives.Clock.now () -. t0 in
-  let ops = Array.fold_left ( + ) 0 done_counts in
-  let latency = Obs.Op_latency.create () in
-  Array.iter (fun l -> Obs.Op_latency.merge_into ~into:latency l) latencies;
-  let alloc = Obs.Alloc_probe.create () in
-  Array.iter (fun a -> Obs.Alloc_probe.merge_into ~into:alloc a) allocs;
+  let m = Runner.run_once { instance with Queues.register } spec ~threads in
+  let latency = Obs.Op_latency.create () and alloc = Obs.Alloc_probe.create () in
+  List.iter
+    (fun (l, a) ->
+      Obs.Op_latency.merge_into ~into:latency l;
+      Obs.Alloc_probe.merge_into ~into:alloc a)
+    !meters;
   {
     threads;
-    ops;
-    elapsed_s;
-    mops = (float_of_int ops /. elapsed_s /. 1e6);
+    ops = m.Runner.ops;
+    elapsed_s = m.Runner.elapsed_s;
+    mops = m.Runner.mops;
     snapshot = instance.Queues.snapshot ();
     latency;
     alloc;

@@ -1,14 +1,17 @@
 (** Telemetry runs: workload executions that record what the
     throughput benchmarks deliberately do not — per-operation latency
-    histograms and the queue's full {!Obs.Snapshot} — on the
-    instrumented queue build.
+    histograms, minor words per operation and the queue's full
+    {!Obs.Snapshot}.
 
-    A telemetry run wraps every [enqueue]/[dequeue] in a monotonic
-    clock pair, so it is NOT a throughput benchmark (the timing calls
-    dominate short operations); throughput numbers still come from
-    {!Runner}.  What it is for: the paper's §6 wait-freedom evidence —
-    how often operations leave the fast path as patience varies, and
-    what the tail latencies look like. *)
+    A telemetry run is a {!Runner.run_once} that wraps every
+    [enqueue]/[dequeue] in a monotonic clock pair and a
+    [Gc.minor_words] pair, so it is NOT a throughput benchmark (the
+    timing calls dominate short operations); throughput numbers come
+    from {!Runner.measure}.  What it is for: the paper's §6
+    wait-freedom evidence — how often operations leave the fast path
+    as patience varies, and what the tail latencies look like
+    ([repro stats] on the instrumented build, [repro latency] across
+    queues). *)
 
 type run_result = {
   threads : int;
@@ -26,8 +29,10 @@ type run_result = {
 }
 
 val run : Queues.instance -> Workload.spec -> threads:int -> run_result
-(** Run the workload with per-operation timing on any queue instance
-    (latencies work for every queue; the snapshot only for the WF
+(** {!Runner.run_once} with every operation timed: each worker's ops
+    are wrapped in a latency and minor-words window, one meter pair
+    per worker, merged after the join.  Works on any queue instance
+    (latencies for every queue; the snapshot only for the WF
     builds). *)
 
 type row = { patience : int; result : run_result }
@@ -75,8 +80,6 @@ val slow_path_verdict : row list -> verdict
 val pp_verdict : Format.formatter -> verdict -> unit
 (** One line: PASS, FAIL or "not checked", with the rate and limit. *)
 
-val counters_to_json : Obs.Counters.t -> Json.t
-val alloc_to_json : Obs.Alloc_probe.t -> Json.t
-val snapshot_to_json : Obs.Snapshot.t -> Json.t
-val run_result_to_json : run_result -> Json.t
 val table_to_json : row list -> Json.t
+(** The rows as the [repro stats --json] document: per row, the run's
+    counters, latency summaries, alloc rates and snapshot. *)

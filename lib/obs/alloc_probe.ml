@@ -39,22 +39,3 @@ let per num den = if den = 0.0 then 0.0 else num /. den
 let words_per_enqueue t = per t.enq_words t.enq_ops
 let words_per_dequeue t = per t.deq_words t.deq_ops
 let words_per_op t = per (t.enq_words +. t.deq_words) (t.enq_ops +. t.deq_ops)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "alloc: %.2f words/enq (%.0f ops), %.2f words/deq (%.0f ops), %.2f words/op"
-    (words_per_enqueue t) t.enq_ops (words_per_dequeue t) t.deq_ops (words_per_op t)
-
-(* The window handle is an [int], deliberately: an immediate crosses
-   the [start]/[record] call boundary without allocating, whereas a
-   [float] handle would be boxed at the [record] call site — inside
-   the very window it delimits — in a non-flambda build (2 words of
-   self-pollution per op).  [Gc.minor_words] is exact as an int up to
-   2^53 words, far beyond any run length. *)
-module Meter (P : Probe.S) = struct
-  let enabled = P.enabled
-  let start () = if P.enabled then int_of_float (Gc.minor_words ()) else 0
-
-  let record acc cls w0 =
-    if P.enabled then record acc cls (Gc.minor_words () -. float_of_int w0)
-end

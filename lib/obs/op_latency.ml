@@ -34,6 +34,11 @@ let merge_into ~into t =
     (fun c -> Stats.Histogram.merge_into ~into:(histogram into c) (histogram t c))
     classes
 
+let combined t =
+  let all = Stats.Histogram.create ~sub_bits:(Stats.Histogram.sub_bits t.enq) () in
+  List.iter (fun c -> Stats.Histogram.merge_into ~into:all (histogram t c)) classes;
+  all
+
 type summary = {
   samples : int;
   p50_ns : float;

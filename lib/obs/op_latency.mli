@@ -29,6 +29,9 @@ val histogram : t -> cls -> Stats.Histogram.t
 val merge_into : into:t -> t -> unit
 (** Merge all classes; both sides must share [sub_bits]. *)
 
+val combined : t -> Stats.Histogram.t
+(** Every class merged into one fresh histogram. *)
+
 type summary = {
   samples : int;
   p50_ns : float;

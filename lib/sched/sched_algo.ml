@@ -4,7 +4,8 @@
    [Wfq.Wfqueue_algo]: [Simsched.Sim.Sched_core] instantiates this
    text on the simsched shim and model-checks the steal-vs-pop,
    resolve-vs-await and help-vs-steal races, while the production build
-   ([Sched.Scheduler]) compiles both tiers out.
+   ([Sched.Scheduler]) disables both tiers (each disabled gate is still
+   a load and a never-taken branch without flambda; DESIGN.md §9).
 
    Per-worker tasks sit in a stealing deque rather than a shared
    ticket queue, whose consumers would all contend on one head FAA:

@@ -92,8 +92,8 @@ module Atomic_shim : Wfq.Atomic_prims.S = struct
 end
 
 module Queue = Wfq.Wfqueue_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
-module Ms_queue = Baselines.Msqueue_algo.Make (Atomic_shim) (Obs.Probe.Enabled)
-module Lcrq = Baselines.Lcrq_algo.Make (Atomic_shim) (Obs.Probe.Enabled)
+module Ms_queue = Baselines.Msqueue_algo.Make (Atomic_shim)
+module Lcrq = Baselines.Lcrq_algo.Make (Atomic_shim)
 module Sched_core = Sched.Sched_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
 
 type stats = { scheduling_decisions : int; max_steps_hit : bool; blocked : int }

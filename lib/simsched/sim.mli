@@ -21,11 +21,11 @@ module Atomic_shim : Wfq.Atomic_prims.S
 
 module Queue : module type of Wfq.Wfqueue_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
 
-module Ms_queue : module type of Baselines.Msqueue_algo.Make (Atomic_shim) (Obs.Probe.Enabled)
+module Ms_queue : module type of Baselines.Msqueue_algo.Make (Atomic_shim)
 (** The MS-Queue baseline on the same simulated atomics, for
     differential schedule testing. *)
 
-module Lcrq : module type of Baselines.Lcrq_algo.Make (Atomic_shim) (Obs.Probe.Enabled)
+module Lcrq : module type of Baselines.Lcrq_algo.Make (Atomic_shim)
 (** LCRQ (rings + list) on simulated atomics: the close/fixState
     logic is the subtlest part of any baseline, so it gets schedule
     exploration too. *)

@@ -44,6 +44,7 @@ let add t sample =
   t.total <- t.total + 1;
   if sample > t.max_seen then t.max_seen <- sample
 
+let sub_bits t = t.sub_bits
 let count t = t.total
 let max_recorded t = t.max_seen
 

@@ -14,6 +14,8 @@ val create : ?sub_bits:int -> unit -> t
 (** [sub_bits] (default 8, i.e. ≤0.4% relative error) must be in
     [\[0, 16\]]. *)
 
+val sub_bits : t -> int
+
 val add : t -> float -> unit
 (** Record a sample.  Negative samples count as 0. *)
 

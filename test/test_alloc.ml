@@ -1,10 +1,10 @@
 (* The allocation discipline, pinned: the disabled-probe fast path
    allocates zero minor words per enqueue/dequeue pair, the option API
-   pays exactly its [Some] box, the Alloc_probe accumulator and gated
-   meter account correctly, the int queue's [dequeue_or] is
-   behaviorally identical to the option API, dequeue_or linearizes under simsched
-   schedules, and every [Alloc_bench] default row stays within its
-   exact bound.
+   pays exactly its [Some] box, the Alloc_probe accumulator accounts
+   correctly, the int queue's [dequeue_or] is behaviorally identical
+   to the option API, dequeue_or linearizes under simsched schedules,
+   and every [Alloc_bench] default row stays within its exact
+   bound.
 
    Methodology for the zero assertions: [Gc.minor_words] is an exact
    per-domain allocation counter (not a sampled statistic), so after
@@ -45,35 +45,6 @@ let test_probe_accounting () =
   check (Alcotest.float 1e-9) "source untouched" 1.0 (AP.ops b AP.Dequeue);
   AP.reset a;
   check (Alcotest.float 0.0) "reset" 0.0 (AP.ops a AP.Enqueue +. AP.ops a AP.Dequeue)
-
-let test_meter_disabled () =
-  let module M = AP.Meter (Obs.Probe.Disabled) in
-  Alcotest.(check bool) "disabled" false M.enabled;
-  check Alcotest.int "start is 0" 0 (M.start ());
-  let a = AP.create () in
-  let w0 = M.start () in
-  ignore (Sys.opaque_identity (ref 42));
-  M.record a AP.Enqueue w0;
-  check (Alcotest.float 0.0) "record is a no-op" 0.0 (AP.ops a AP.Enqueue)
-
-let test_meter_enabled () =
-  let module M = AP.Meter (Obs.Probe.Enabled) in
-  Alcotest.(check bool) "enabled" true M.enabled;
-  let a = AP.create () in
-  (* a window around a known allocation: one ref = header + field *)
-  let w0 = M.start () in
-  ignore (Sys.opaque_identity (ref 42));
-  M.record a AP.Dequeue w0;
-  check (Alcotest.float 1e-9) "one op" 1.0 (AP.ops a AP.Dequeue);
-  check (Alcotest.float 1e-9)
-    (Printf.sprintf "window saw exactly the ref (%.1f words)" (AP.words a AP.Dequeue))
-    2.0 (AP.words a AP.Dequeue);
-  (* a window around nothing: the int handle crosses the record call
-     unboxed, so the meter measures literally zero for itself *)
-  let before = AP.words a AP.Dequeue in
-  let w0 = M.start () in
-  M.record a AP.Dequeue w0;
-  check (Alcotest.float 1e-9) "empty window adds 0" before (AP.words a AP.Dequeue)
 
 (* ------------------------------------------------------------------ *)
 (* The zero-allocation fast path                                       *)
@@ -194,13 +165,13 @@ let test_alloc_bounded_and_scq_zero () =
     [ Harness.Queues.wf_bounded (); Harness.Queues.scq () ]
 
 let test_alloc_bench_default_rows () =
-  (* the six pinned rows: every dequeue_or row holds the hot-path
+  (* the five pinned rows: every dequeue_or row holds the hot-path
      zero, and the option API pays exactly its [Some] box (2 words on
      each dequeue, 1.0 per op).  [Gc.minor_words] is an exact count,
      so the bounds can be tight: one extra 2-word box per operation
      fails either. *)
   let rows = Harness.Alloc_bench.default_rows ~warmup_pairs:20_000 ~pairs:5_000 () in
-  check Alcotest.int "row count" 6 (List.length rows);
+  check Alcotest.int "row count" 5 (List.length rows);
   List.iter
     (fun (r : Harness.Alloc_bench.row) ->
       let w = r.words_per_op in
@@ -305,8 +276,6 @@ let () =
       ( "probe",
         [
           Alcotest.test_case "accounting" `Quick test_probe_accounting;
-          Alcotest.test_case "meter disabled" `Quick test_meter_disabled;
-          Alcotest.test_case "meter enabled" `Quick test_meter_enabled;
         ] );
       ( "zero-alloc",
         [

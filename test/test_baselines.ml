@@ -1,6 +1,6 @@
 (* Tests for the baseline queues the paper compares against:
-   MS-Queue, the two-lock queue, the mutex queue, CRQ/LCRQ, CC-Queue,
-   and the FAA microbenchmark facade. *)
+   MS-Queue, CRQ/LCRQ, CC-Queue and the FAA microbenchmark facade,
+   plus SCQ, the bounded-ring reference. *)
 
 let check = Alcotest.check
 let qtest t = QCheck_alcotest.to_alcotest t
@@ -104,18 +104,6 @@ module Ms = Battery (struct
   let name = "msqueue"
 end)
 
-module Tl = Battery (struct
-  include Baselines.Two_lock_queue
-
-  let name = "two_lock"
-end)
-
-module Mx = Battery (struct
-  include Baselines.Mutex_queue
-
-  let name = "mutex"
-end)
-
 module Lc = Battery (struct
   include Baselines.Lcrq
 
@@ -128,13 +116,6 @@ module Cc = Battery (struct
 
   let name = "ccqueue"
   let create () = Baselines.Ccqueue.create ()
-end)
-
-module Kp = Battery (struct
-  include Baselines.Kp_queue
-
-  let name = "kp_queue"
-  let create () = Baselines.Kp_queue.create ()
 end)
 
 module Sc = Battery (struct
@@ -318,11 +299,8 @@ let () =
   Alcotest.run "baselines"
     [
       Ms.suite;
-      Tl.suite;
-      Mx.suite;
       Lc.suite;
       Cc.suite;
-      Kp.suite;
       Sc.suite;
       ( "scq-ring",
         [

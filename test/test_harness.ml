@@ -113,21 +113,40 @@ let test_each_factory_is_fifo () =
       end)
     Harness.Queues.all
 
+(* Every WF build in the registry comes from the one WF factory, so
+   each reports its path counters and resets them. *)
 let test_wf_factory_stats () =
-  let f = Harness.Queues.wf ~patience:0 () in
-  let inst = f.Harness.Queues.make () in
-  let ops = inst.Harness.Queues.register () in
-  ops.Harness.Queues.enqueue 1;
-  ignore (ops.Harness.Queues.dequeue ());
-  (match inst.Harness.Queues.op_stats () with
-  | Some s ->
-    check Alcotest.int "enqueues tracked" 1 (Wfq.Op_stats.total_enqueues s);
-    check Alcotest.int "dequeues tracked" 1 (Wfq.Op_stats.total_dequeues s)
-  | None -> Alcotest.fail "wf factory must expose stats");
-  inst.Harness.Queues.reset_op_stats ();
-  match inst.Harness.Queues.op_stats () with
-  | Some s -> check Alcotest.int "reset" 0 (Wfq.Op_stats.total_enqueues s)
-  | None -> Alcotest.fail "stats gone after reset"
+  let wf_builds =
+    List.filter
+      (fun (f : Harness.Queues.factory) -> String.starts_with ~prefix:"wf-" f.Harness.Queues.name)
+      Harness.Queues.all
+  in
+  check
+    Alcotest.(list string)
+    "the WF builds"
+    [ "wf-10"; "wf-0"; "wf-10-obs"; "wf-bounded"; "wf-llsc" ]
+    (List.map (fun (f : Harness.Queues.factory) -> f.Harness.Queues.name) wf_builds);
+  List.iter
+    (fun (f : Harness.Queues.factory) ->
+      let name = f.Harness.Queues.name in
+      let inst = f.Harness.Queues.make () in
+      let ops = inst.Harness.Queues.register () in
+      ops.Harness.Queues.enqueue 1;
+      ignore (ops.Harness.Queues.dequeue ());
+      (match inst.Harness.Queues.op_stats () with
+      | Some s ->
+        check Alcotest.int (name ^ " enqueues tracked") 1 (Wfq.Op_stats.total_enqueues s);
+        check Alcotest.int (name ^ " dequeues tracked") 1 (Wfq.Op_stats.total_dequeues s)
+      | None -> Alcotest.failf "%s must expose stats" name);
+      (match inst.Harness.Queues.snapshot () with
+      | Some snap ->
+        check Alcotest.int (name ^ " snapshot ops") 2 (Obs.Counters.total_ops snap.Obs.Snapshot.ops)
+      | None -> Alcotest.failf "%s must expose a snapshot" name);
+      inst.Harness.Queues.reset_op_stats ();
+      match inst.Harness.Queues.op_stats () with
+      | Some s -> check Alcotest.int (name ^ " reset") 0 (Wfq.Op_stats.total_enqueues s)
+      | None -> Alcotest.failf "%s stats gone after reset" name)
+    wf_builds
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                             *)
@@ -155,15 +174,30 @@ let test_run_once_rejects_bad_threads () =
     Alcotest.fail "accepted 10000 threads"
   with Invalid_argument _ -> ()
 
+(* The think time excluded from the wall clock is the injected sum
+   over the domains that spin at once: one at 1 thread, and as many as
+   the host has cores, up to the thread count, beyond. *)
 let test_injected_work_accounted () =
   let f = Harness.Queues.wf ~segment_shift:6 () in
   let inst = f.Harness.Queues.make () in
   let spec = WL.scaled WL.Pairs ~total_ops:2_000 in
-  let m = Harness.Runner.run_once inst spec ~threads:1 in
-  (* 2000 ops at mean 75ns = 150us expected think time *)
-  check (Alcotest.float 1.0) "expected injected ns" 150_000.0 m.Harness.Runner.injected_ns;
-  check Alcotest.bool "excl-work >= raw" true
-    (m.Harness.Runner.mops_excl_work >= m.Harness.Runner.mops)
+  List.iter
+    (fun threads ->
+      let m = Harness.Runner.run_once inst spec ~threads in
+      let what = Printf.sprintf "%d threads: " threads in
+      (* 2000 ops at mean 75ns = 150us expected think time *)
+      check (Alcotest.float 1.0) (what ^ "expected injected ns") 150_000.0
+        m.Harness.Runner.injected_ns;
+      check Alcotest.bool (what ^ "excl-work >= raw") true
+        (m.Harness.Runner.mops_excl_work >= m.Harness.Runner.mops);
+      let spinners = float_of_int (min threads (Domain.recommended_domain_count ())) in
+      let elapsed = m.Harness.Runner.elapsed_s in
+      let think_wall = m.Harness.Runner.injected_ns /. 1e9 /. spinners in
+      let op_time = Float.max (elapsed -. think_wall) (elapsed *. 0.1) in
+      check (Alcotest.float 1e-6) (what ^ "think time divided by the parallel spinners")
+        (float_of_int m.Harness.Runner.ops /. op_time /. 1e6)
+        m.Harness.Runner.mops_excl_work)
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                             *)
@@ -235,20 +269,25 @@ let test_plot_flat_zero_series () =
 (* ------------------------------------------------------------------ *)
 (* Latency harness                                                    *)
 
+(* The latency table's distribution: a telemetry run with every
+   operation class merged. *)
 let test_latency_measure () =
-  let f = Harness.Queues.wf ~segment_shift:6 () in
-  let p = Harness.Latency.measure f ~threads:2 ~ops_per_thread:2_000 ~kind:WL.Fifty_fifty in
-  check Alcotest.int "all samples" 4_000 p.Harness.Latency.samples;
+  let inst = (Harness.Queues.wf ~segment_shift:6 ()).Harness.Queues.make () in
+  let spec = { (WL.scaled WL.Fifty_fifty ~total_ops:4_000) with WL.work_ns = None } in
+  let r = Harness.Telemetry.run inst spec ~threads:2 in
+  let h = Obs.Op_latency.combined r.Harness.Telemetry.latency in
+  let p = Stats.Histogram.percentile h in
+  check Alcotest.int "all samples" 4_000 (Stats.Histogram.count h);
   check Alcotest.bool "percentiles ordered" true
-    (p.Harness.Latency.p50_ns <= p.Harness.Latency.p90_ns
-    && p.Harness.Latency.p90_ns <= p.Harness.Latency.p99_ns
-    && p.Harness.Latency.p99_ns <= p.Harness.Latency.p999_ns
-    && p.Harness.Latency.p999_ns <= p.Harness.Latency.max_ns);
-  check Alcotest.bool "positive" true (p.Harness.Latency.p50_ns >= 0.0)
+    (p 50.0 <= p 90.0
+    && p 90.0 <= p 99.0
+    && p 99.0 <= p 99.9
+    && p 99.9 <= Stats.Histogram.max_recorded h);
+  check Alcotest.bool "positive" true (p 50.0 >= 0.0)
 
 let test_latency_experiment_shape () =
   let queues = [ Harness.Queues.wf ~segment_shift:6 () ] in
-  let t = Harness.Latency.experiment ~queues ~threads:2 ~ops_per_thread:1_000 () in
+  let t = Harness.Experiments.latency ~queues ~threads:2 ~ops_per_thread:1_000 () in
   let lines = String.split_on_char '\n' (String.trim (Harness.Report.to_csv t)) in
   check Alcotest.int "1 header + 1 row" 2 (List.length lines)
 

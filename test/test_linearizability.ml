@@ -51,15 +51,6 @@ let lcrq_subject () =
         ((fun v -> Baselines.Lcrq.enqueue q h v), fun () -> Baselines.Lcrq.dequeue q h));
   }
 
-let kp_subject () =
-  let q = Baselines.Kp_queue.create () in
-  {
-    register =
-      (fun () ->
-        let h = Baselines.Kp_queue.register q in
-        ((fun v -> Baselines.Kp_queue.enqueue q h v), fun () -> Baselines.Kp_queue.dequeue q h));
-  }
-
 let cc_subject () =
   let q = Baselines.Ccqueue.create () in
   {
@@ -154,9 +145,6 @@ let test_lcrq_small_histories () =
 let test_ccqueue_small_histories () =
   assert_linearizable "ccqueue" (fun () -> cc_subject ()) ~rounds:20 ~threads:3 ~ops:8
 
-let test_kp_small_histories () =
-  assert_linearizable "kp_queue" (fun () -> kp_subject ()) ~rounds:20 ~threads:3 ~ops:8
-
 let test_stack_rejected () =
   (* the checker pipeline must flag a stack once a history exposes
      LIFO behaviour; collect sequential evidence deterministically *)
@@ -210,7 +198,6 @@ let () =
           Alcotest.test_case "msqueue" `Quick test_msqueue_small_histories;
           Alcotest.test_case "lcrq" `Quick test_lcrq_small_histories;
           Alcotest.test_case "ccqueue" `Quick test_ccqueue_small_histories;
-          Alcotest.test_case "kp_queue" `Quick test_kp_small_histories;
           Alcotest.test_case "stack rejected" `Quick test_stack_rejected;
         ] );
       ( "fast checks large histories",

@@ -286,43 +286,6 @@ let test_op_latency_empty_summary () =
   check Alcotest.int "no samples" 0 s.Obs.Op_latency.samples;
   check (Alcotest.float 0.0) "zero p99" 0.0 s.Obs.Op_latency.p99_ns
 
-(* ------------------------------------------------------------------ *)
-(* Instrumented baselines                                             *)
-
-let test_msqueue_obs_counts () =
-  let q = Baselines.Msqueue_obs.create () in
-  let h = Baselines.Msqueue_obs.register q in
-  Baselines.Msqueue_obs.enqueue q h 1;
-  check Alcotest.(option int) "fifo" (Some 1) (Baselines.Msqueue_obs.dequeue q h);
-  check Alcotest.(option int) "empty" None (Baselines.Msqueue_obs.dequeue q h);
-  let s = Baselines.Msqueue_obs.handle_stats h in
-  check Alcotest.int "enqueues" 1 s.C.fast_enqueues;
-  check Alcotest.int "dequeues" 1 s.C.fast_dequeues;
-  check Alcotest.int "empties" 1 s.C.empty_dequeues
-
-let test_lcrq_obs_counts () =
-  let q = Baselines.Lcrq_obs.create ~ring_size:4 () in
-  let h = Baselines.Lcrq_obs.register q in
-  (* overflow the 4-slot ring so a close/new-ring event fires *)
-  for i = 1 to 10 do
-    Baselines.Lcrq_obs.enqueue q h i
-  done;
-  for i = 1 to 10 do
-    check Alcotest.(option int) "fifo across rings" (Some i) (Baselines.Lcrq_obs.dequeue q h)
-  done;
-  let s = Baselines.Lcrq_obs.handle_stats h in
-  check Alcotest.int "enqueues" 10 s.C.fast_enqueues;
-  check Alcotest.int "dequeues" 10 s.C.fast_dequeues;
-  check Alcotest.bool "ring close counted" true (s.C.enq_cas_failures > 0)
-
-let test_disabled_baselines_stay_zero () =
-  let q = Baselines.Msqueue.create () in
-  let h = Baselines.Msqueue.register q in
-  Baselines.Msqueue.enqueue q h 1;
-  ignore (Baselines.Msqueue.dequeue q h);
-  check Alcotest.int "probe off: nothing recorded" 0
-    (C.total_ops (Baselines.Msqueue.handle_stats h))
-
 let () =
   Alcotest.run "obs"
     [
@@ -361,11 +324,5 @@ let () =
           Alcotest.test_case "classes independent" `Quick test_op_latency_classes_independent;
           Alcotest.test_case "merge" `Quick test_op_latency_merge;
           Alcotest.test_case "empty summary" `Quick test_op_latency_empty_summary;
-        ] );
-      ( "baselines",
-        [
-          Alcotest.test_case "msqueue instrumented" `Quick test_msqueue_obs_counts;
-          Alcotest.test_case "lcrq instrumented" `Quick test_lcrq_obs_counts;
-          Alcotest.test_case "disabled baselines zero" `Quick test_disabled_baselines_stay_zero;
         ] );
     ]

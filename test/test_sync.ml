@@ -1,37 +1,7 @@
-(* Tests for the synchronization substrate: spinlock, barrier, and the
+(* Tests for the synchronization substrate: the barrier and the
    CC-Synch combining engine CC-Queue is built on. *)
 
 let check = Alcotest.check
-
-(* ------------------------------------------------------------------ *)
-(* Spinlock                                                           *)
-
-let test_spinlock_sequential () =
-  let l = Sync.Spinlock.create () in
-  Sync.Spinlock.acquire l;
-  check Alcotest.bool "try while held" false (Sync.Spinlock.try_acquire l);
-  Sync.Spinlock.release l;
-  check Alcotest.bool "try when free" true (Sync.Spinlock.try_acquire l);
-  Sync.Spinlock.release l
-
-let test_spinlock_with_lock_exception () =
-  let l = Sync.Spinlock.create () in
-  (try Sync.Spinlock.with_lock l (fun () -> failwith "boom") with Failure _ -> ());
-  check Alcotest.bool "released after exception" true (Sync.Spinlock.try_acquire l);
-  Sync.Spinlock.release l
-
-let test_spinlock_mutual_exclusion () =
-  let l = Sync.Spinlock.create () in
-  let counter = ref 0 in
-  let iterations = 10_000 in
-  let worker () =
-    for _ = 1 to iterations do
-      Sync.Spinlock.with_lock l (fun () -> counter := !counter + 1)
-    done
-  in
-  let domains = List.init 4 (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join domains;
-  check Alcotest.int "no lost updates" (4 * iterations) !counter
 
 (* ------------------------------------------------------------------ *)
 (* Barrier                                                            *)
@@ -136,12 +106,6 @@ let test_ccsynch_distinct_results () =
 let () =
   Alcotest.run "sync"
     [
-      ( "spinlock",
-        [
-          Alcotest.test_case "sequential" `Quick test_spinlock_sequential;
-          Alcotest.test_case "exception safety" `Quick test_spinlock_with_lock_exception;
-          Alcotest.test_case "mutual exclusion" `Quick test_spinlock_mutual_exclusion;
-        ] );
       ( "barrier",
         [
           Alcotest.test_case "parties" `Quick test_barrier_parties;
